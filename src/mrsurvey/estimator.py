@@ -158,6 +158,23 @@ class _TrainingSet:
             return np.exp(-self.d_sq / (2.0 * sigma * sigma))
 
 
+def _log_no_damage(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per-row log P(no damage) = sum over pockets of log1p(-s * g).
+
+    Below 8 pockets a row sum adds left to right from +0.0, so adding
+    the columns one at a time gives the same bits, sign of zero included,
+    without a per-row reduce.  From 8 on numpy sums pairwise, so the row
+    sum is kept.
+    """
+    terms = np.log1p(-np.minimum(s[:, None] * g, 1.0 - 1e-12))
+    if terms.shape[1] >= 8:
+        return terms.sum(axis=1)
+    log_q = np.zeros(len(terms))
+    for k in range(terms.shape[1]):
+        log_q += terms[:, k]
+    return log_q
+
+
 def _bernoulli_ll(g: np.ndarray, damaged: np.ndarray, s: np.ndarray) -> float:
     """Log-likelihood of damaged flags under noisy-OR with factors s * g.
 
@@ -172,8 +189,7 @@ def _bernoulli_ll(g: np.ndarray, damaged: np.ndarray, s: np.ndarray) -> float:
     """
     if g.size == 0:
         return 0.0
-    sg = np.minimum(s[:, None] * g, 1.0 - 1e-12)
-    log_q = np.log1p(-sg).sum(axis=1)  # log prob of no damage
+    log_q = _log_no_damage(g, s)
     ll = float(log_q[~damaged].sum())
     if damaged.any():
         p = -np.expm1(log_q[damaged])

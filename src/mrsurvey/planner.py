@@ -24,6 +24,7 @@ nearest-per-robot fill).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -86,7 +87,7 @@ class PlanningState:
         return len(self.robot_xy)
 
     def index_of(self, poi_id: int) -> int:
-        i = int(np.searchsorted(np.asarray(self.poi_ids), poi_id))
+        i = bisect.bisect_left(self.poi_ids, poi_id)
         if i >= len(self.poi_ids) or self.poi_ids[i] != poi_id:
             raise KeyError(f"PoI id {poi_id} not in state")
         return i
@@ -293,19 +294,21 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
         if set(t_idx) != set(range(n)):
             raise ValueError("every remaining PoI must be covered when PoIs < robots")
 
+    # Scalar arithmetic on Python floats gives the same bits as on numpy
+    # scalars, at a fraction of the per-operation cost.
+    rob = state.robot_xy.tolist()
+    pxy = state.poi_xy.tolist()
+    spd = state.robot_speeds.tolist()
+    insp = state.inspect_times.tolist()
     tts = []
     needs = []
     finishes = []
     for i in range(n_rob):
         j = t_idx[i]
-        dx = state.robot_xy[i, 0] - state.poi_xy[j, 0]
-        dy = state.robot_xy[i, 1] - state.poi_xy[j, 1]
-        tt = math.sqrt(dx * dx + dy * dy) / state.robot_speeds[i]
-        need = (
-            state.robot_remaining[i]
-            if action.targets[i] == state.robot_targets[i]
-            else float(state.inspect_times[j])
-        )
+        dx = rob[i][0] - pxy[j][0]
+        dy = rob[i][1] - pxy[j][1]
+        tt = math.sqrt(dx * dx + dy * dy) / spd[i]
+        need = state.robot_remaining[i] if action.targets[i] == state.robot_targets[i] else insp[j]
         tts.append(tt)
         needs.append(need)
         finishes.append(tt + need)
@@ -317,15 +320,15 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
     first_poi = action.targets[winner]
     first_idx = t_idx[winner]
 
-    new_rob = state.robot_xy.copy()
+    new_rob = []
     targets: List[Optional[int]] = []
     remaining: List[float] = []
     for i in range(n_rob):
         j = t_idx[i]
         tt = tts[i]
         frac = 0.0 if tt == 0.0 else min(duration, tt) / tt
-        new_rob[i, 0] = state.robot_xy[i, 0] + frac * (state.poi_xy[j, 0] - state.robot_xy[i, 0])
-        new_rob[i, 1] = state.robot_xy[i, 1] + frac * (state.poi_xy[j, 1] - state.robot_xy[i, 1])
+        (x, y), (px, py) = rob[i], pxy[j]
+        new_rob.append((x + frac * (px - x), y + frac * (py - y)))
         if j == first_idx:
             targets.append(None)
             remaining.append(0.0)
@@ -338,13 +341,15 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
         targets.append(action.targets[i])
         remaining.append(need)
 
-    keep = [j for j in range(n) if j != first_idx]
+    def drop(rows):
+        return np.concatenate((rows[:first_idx], rows[first_idx + 1:]))
+
     successor = PlanningState(
-        poi_ids=tuple(pid for pid in state.poi_ids if pid != first_poi),
-        poi_xy=state.poi_xy[keep],
-        inspect_times=state.inspect_times[keep],
-        likelihoods=state.likelihoods[keep],
-        robot_xy=new_rob,
+        poi_ids=state.poi_ids[:first_idx] + state.poi_ids[first_idx + 1:],
+        poi_xy=drop(state.poi_xy),
+        inspect_times=drop(state.inspect_times),
+        likelihoods=drop(state.likelihoods),
+        robot_xy=np.array(new_rob, dtype=float),
         robot_speeds=state.robot_speeds,
         robot_targets=tuple(targets),
         robot_remaining=tuple(remaining),

@@ -93,12 +93,6 @@ class Scenario:
     pois: Tuple[PoI, ...]
     wind_pockets: Tuple[WindPocket, ...]
 
-    def poi_by_id(self, poi_id: int) -> PoI:
-        for p in self.pois:
-            if p.id == poi_id:
-                return p
-        raise KeyError(f"no PoI with id {poi_id}")
-
 
 def damage_probability(
     position: Tuple[float, float],

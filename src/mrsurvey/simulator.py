@@ -9,6 +9,10 @@ sends it to the same PoI; a robot sent elsewhere, or whose target
 another robot revealed, starts its next inspection from zero.  Between
 events nothing changes, so the loop is exact, not time-stepped.
 
+The planning state is built with make_state once per mission.  After
+that, action_outcome carries it: the state the planner sees at each
+reveal is the successor of the previous step.
+
 Two cost integrals are tracked: expected cost charges
 cost_rate * sum of remaining likelihoods per second (using the raw,
 unclamped estimates), and realized cost charges cost_rate per second
@@ -145,16 +149,11 @@ def run_mission(
     choose = _dispatch(config.planner, config.planner_config)
 
     pois = {p.id: p for p in scenario.pois}
-    remaining = sorted(pois)
-    damaged_left = sum(1 for pid in remaining if pois[pid].damaged)
-
-    robots = [
-        RobotState(i, scenario.start[0], scenario.start[1], config.speed)
-        for i in range(config.n_robots)
-    ]
-    robot_xy = np.array([[r.x, r.y] for r in robots], dtype=float)
-    committed: Tuple[Optional[int], ...] = (None,) * config.n_robots
-    still_needed: Tuple[float, ...] = (0.0,) * config.n_robots
+    damaged_left = sum(1 for p in pois.values() if p.damaged)
+    state = make_state(
+        [(pid, pois[pid].x, pois[pid].y, pois[pid].inspect_time, clamped[pid]) for pid in sorted(pois)],
+        [RobotState(i, scenario.start[0], scenario.start[1], config.speed) for i in range(config.n_robots)],
+    )
 
     t = 0.0
     dist = 0.0
@@ -165,18 +164,7 @@ def run_mission(
     curve: List[CurvePoint] = [CurvePoint(0.0, 0.0, 0.0, 0.0, damaged_left)]
     walls: List[float] = []
 
-    while remaining:
-        state = make_state(
-            [
-                (pid, pois[pid].x, pois[pid].y, pois[pid].inspect_time, clamped[pid])
-                for pid in remaining
-            ],
-            [
-                RobotState(i, float(robot_xy[i, 0]), float(robot_xy[i, 1]), config.speed, committed[i], still_needed[i])
-                for i in range(config.n_robots)
-            ],
-            elapsed=t,
-        )
+    while state.n_pois:
         t0 = time.perf_counter()
         action = choose(state)
         walls.append(time.perf_counter() - t0)
@@ -185,25 +173,21 @@ def run_mission(
 
         outcome = action_outcome(state, action)
         duration = outcome.duration
-        new_xy = outcome.successor.robot_xy
-        committed = outcome.successor.robot_targets
-        still_needed = outcome.successor.robot_remaining
-        step = new_xy - robot_xy
+        step = outcome.successor.robot_xy - state.robot_xy
         dist += float(np.sqrt((step * step).sum(axis=1)).sum())
 
-        exp_acc += k_rate * duration * sum(raw[pid] for pid in remaining)
-        real_acc += k_rate * duration * sum(1 for pid in remaining if pois[pid].damaged)
+        exp_acc += k_rate * duration * sum(raw[pid] for pid in state.poi_ids)
+        real_acc += k_rate * duration * sum(1 for pid in state.poi_ids if pois[pid].damaged)
         t += duration
 
         pid = outcome.first_poi
         was_damaged = pois[pid].damaged
-        remaining.remove(pid)
         if was_damaged:
             damaged_left -= 1
         reveals.append((t, pid, was_damaged))
         events.append(SimEvent(t, EVENT_INSPECTION, pid, outcome.finishing_robot))
         curve.append(CurvePoint(t, dist, exp_acc, real_acc, damaged_left))
-        robot_xy = new_xy
+        state = outcome.successor
 
     events.append(SimEvent(t, EVENT_MISSION_END))
     return MissionTrace(

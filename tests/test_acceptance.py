@@ -18,6 +18,9 @@ from mrsurvey.simulator import MissionConfig, replay_check, run_mission
 
 import reference
 
+# Minutes of experiment grids: `pytest -m "not slow"` leaves them out.
+pytestmark = pytest.mark.slow
+
 SEED_INSTANCES = 723401
 N_INSTANCES = 200
 PLANNERS = ("model", "optimistic", "greedy")

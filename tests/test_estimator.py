@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from mrsurvey import estimator
 from mrsurvey.estimator import (
     FittedParams,
     clamp_for_planner,
@@ -140,6 +142,52 @@ class TestFit:
         assert abs(fp.susceptibility_hat["forest"] - 1.0) <= 0.2
         assert abs(fp.susceptibility_hat["field"] - 0.8) <= 0.2
         assert abs(fp.susceptibility_hat["building"] - 0.2) <= 0.2
+
+
+def _reference_bernoulli_ll(g, damaged, s):
+    # the log-likelihood as first written: one row sum over the pockets
+    if g.size == 0:
+        return 0.0
+    sg = np.minimum(s[:, None] * g, 1.0 - 1e-12)
+    log_q = np.log1p(-sg).sum(axis=1)
+    ll = float(log_q[~damaged].sum())
+    if damaged.any():
+        p = -np.expm1(log_q[damaged])
+        ll += float(np.log(np.maximum(p, 1e-300)).sum())
+    return ll
+
+
+def _padded_falloff(rng, n, width, sigma=60.0):
+    # rows with 0..width pockets, padded with inf distances as in a
+    # training set of mixed pocket counts
+    d_sq = rng.uniform(0.0, 500.0, size=(n, width)) ** 2
+    d_sq[np.arange(width)[None, :] >= rng.integers(0, width + 1, size=n)[:, None]] = math.inf
+    return np.exp(-d_sq / (2.0 * sigma * sigma))
+
+
+class TestPocketSum:
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_bit_identical_to_the_row_sum(self, width):
+        rng = np.random.default_rng(width)
+        g = _padded_falloff(rng, 3000, width)
+        s = rng.choice([0.0, 1e-6, 0.2, 0.8, 1.0], size=len(g))
+        want = np.log1p(-np.minimum(s[:, None] * g, 1.0 - 1e-12)).sum(axis=1)
+        got = estimator._log_no_damage(g, s)
+        # the rows with no pocket in reach sum to zero; compare its sign too
+        assert np.any(want == 0.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        damaged = rng.random(len(g)) < 0.3
+        assert estimator._bernoulli_ll(g, damaged, s) == _reference_bernoulli_ll(g, damaged, s)
+
+    @pytest.mark.parametrize("counts", [(0, 1, 2, 3), (1, 9, 4)])
+    def test_fit_on_mixed_pocket_counts_matches_the_row_sum(self, monkeypatch, counts):
+        scens = [
+            generate_scenario(seed, 8, GenerativeParams(n_wind_pockets=counts[seed % len(counts)]))
+            for seed in range(30)
+        ]
+        fp = fit_estimator(scens)
+        monkeypatch.setattr(estimator, "_bernoulli_ll", _reference_bernoulli_ll)
+        assert fp == fit_estimator(scens)
 
 
 class TestCalibration:

@@ -129,6 +129,19 @@ class TestMakeState:
         with pytest.raises(KeyError):
             st.index_of(9)
 
+    def test_index_of_on_sparse_ids(self):
+        st = m.make_state([(pid, float(pid), 0.0, 0.0, 0.5) for pid in (7, 2, 11, 4)],
+                          [m.RobotState(0, 0.0, 0.0)])
+        assert st.index_of(2) == 0
+        assert st.index_of(11) == 3
+        assert [st.index_of(pid) for pid in (4, 7)] == [1, 2]
+        for absent in (0, 3, 5, 9, 12):  # below, between, and above the ids
+            with pytest.raises(KeyError):
+                st.index_of(absent)
+        empty = m.make_state([], [m.RobotState(0, 0.0, 0.0)])
+        with pytest.raises(KeyError):
+            empty.index_of(0)
+
 
 class TestEnumerateJointActions:
     def test_counts(self):

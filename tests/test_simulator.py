@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mrsurvey as m
+from mrsurvey import simulator as sim
 from mrsurvey.scenario import GenerativeParams, PoI, Scenario, WindPocket
 from mrsurvey.simulator import MissionConfig, load_trace, replay_check, run_mission, write_trace
 
@@ -103,6 +104,98 @@ class TestInspectionProgress:
         assert trace.reveal_log == ((40.0, 0, False), (40.0, 1, True))
         assert [c.n_damaged_unreported for c in trace.cost_curve] == [1, 1, 0]
         assert replay_check(trace, scen).ok
+
+
+# A shallow search keeps the model planner quick at 36 PoIs and 5 robots;
+# how the state is carried does not depend on the search depth.
+QUICK_MODEL = m.PlannerConfig(depth_cap=1, n_priority=6, n_top_prob=3)
+
+
+def _carried_and_rebuilt(monkeypatch, scen, cfg, likelihoods=None):
+    """Each state the planner saw, paired with make_state's rebuild.
+
+    The rebuild uses the bookkeeping a simulator that rebuilds at every
+    reveal would keep: the PoIs not yet in the reveal log, the clamped
+    likelihoods, each robot's position, target and remaining inspection
+    time after the previous step, and the time of the previous reveal.
+    """
+    handed, successors = [], []
+
+    def spy(choose):
+        def call(state, *args):
+            handed.append(state)
+            return choose(state, *args)
+        return call
+
+    def outcome(state, action):
+        out = real_outcome(state, action)
+        successors.append(out.successor)
+        return out
+
+    real_outcome = sim.action_outcome
+    monkeypatch.setattr(sim, "plan", spy(sim.plan))
+    monkeypatch.setattr(sim, "action_outcome", outcome)
+    for name in ("optimistic_assign", "greedy_assign"):
+        monkeypatch.setattr(m.baselines, name, spy(getattr(m.baselines, name)))
+    trace = run_mission(scen, cfg, likelihoods)
+    assert len(handed) == len(successors) == len(trace.reveal_log) == len(scen.pois)
+
+    clamped = m.clamp_for_planner(likelihoods or m.resolve_likelihoods(scen, cfg.estimator))
+    robots = [m.RobotState(i, scen.start[0], scen.start[1], cfg.speed) for i in range(cfg.n_robots)]
+    revealed, t = set(), 0.0
+    pairs = []
+    for state, succ, (t_next, pid, _) in zip(handed, successors, trace.reveal_log):
+        rows = [(p.id, p.x, p.y, p.inspect_time, clamped[p.id]) for p in scen.pois if p.id not in revealed]
+        pairs.append((state, m.make_state(rows, robots, elapsed=t)))
+        revealed.add(pid)
+        t = t_next
+        robots = [
+            m.RobotState(i, float(succ.robot_xy[i, 0]), float(succ.robot_xy[i, 1]), cfg.speed,
+                         succ.robot_targets[i], succ.robot_remaining[i])
+            for i in range(cfg.n_robots)
+        ]
+    return pairs
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kept_progress(state):
+    return any(
+        pid is not None and left < state.inspect_times[state.index_of(pid)]
+        for pid, left in zip(state.robot_targets, state.robot_remaining)
+    )
+
+
+class TestCarriedState:
+    @pytest.mark.parametrize("seed", [4, 21])
+    @pytest.mark.parametrize("n_robots", [1, 3, 5])
+    @pytest.mark.parametrize("n_pois", [12, 36])
+    @pytest.mark.parametrize("planner", ["model", "optimistic", "greedy"])
+    def test_planner_sees_what_make_state_rebuilds(self, monkeypatch, planner, n_pois, n_robots, seed):
+        cfg = MissionConfig(planner=planner, n_robots=n_robots, planner_config=QUICK_MODEL)
+        pairs = _carried_and_rebuilt(monkeypatch, m.generate_scenario(seed, n_pois), cfg)
+        for carried, rebuilt in pairs:
+            assert carried.poi_ids == rebuilt.poi_ids
+            assert carried.robot_targets == rebuilt.robot_targets
+            assert carried.robot_remaining == rebuilt.robot_remaining
+            assert carried.elapsed == rebuilt.elapsed
+            for name in ("poi_xy", "inspect_times", "likelihoods", "robot_xy", "robot_speeds"):
+                assert _same_bits(getattr(carried, name), getattr(rebuilt, name)), name
+        if n_pois == 36 and n_robots > 1:
+            # these missions carry part-done inspections across reveals
+            assert any(_kept_progress(carried) for carried, _ in pairs)
+
+    @pytest.mark.parametrize("planner", ["model", "optimistic", "greedy"])
+    def test_progress_kept_across_a_reveal_is_carried(self, monkeypatch, planner):
+        cfg = MissionConfig(planner=planner, n_robots=2, planner_config=QUICK_MODEL)
+        pairs = _carried_and_rebuilt(monkeypatch, _two_poi_scenario(10.0), cfg, {0: 0.5, 1: 0.5})
+        # at the second reveal robot 0 has 20 of PoI 0's 30 seconds left
+        carried, rebuilt = pairs[1]
+        assert _kept_progress(carried)
+        assert carried.robot_targets == rebuilt.robot_targets == (0, None)
+        assert carried.robot_remaining == rebuilt.robot_remaining == (20.0, 0.0)
 
 
 class TestCostAccounting:
