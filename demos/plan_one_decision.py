@@ -32,8 +32,7 @@ state = m.make_state(
     [(0, 60.0, 0.0, 30.0, 0.9), (1, -50.0, 10.0, 30.0, 0.3), (2, 0.0, 70.0, 30.0, 0.4)],
     [m.RobotState(0, 0.0, 0.0, 1.5), m.RobotState(1, 5.0, 5.0, 1.5)],
 )
-actions = m.enumerate_joint_actions(state)
-print(f"\nthree PoIs, two robots: {len(actions)} joint actions")
+print(f"\nthree PoIs, two robots: {math.perm(state.n_pois, state.n_robots)} joint actions")
 result = m.plan_detailed(state, cfg)
 print(f"optimum {result.cost:.2f} starts with {result.action.targets}, "
       f"{result.nodes_expanded} nodes expanded, {result.children_pruned} pruned")

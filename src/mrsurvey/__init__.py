@@ -26,7 +26,6 @@ from .planner import (
     PlanResult,
     RobotState,
     action_outcome,
-    enumerate_joint_actions,
     expected_cost,
     lower_bound,
     make_state,

@@ -7,7 +7,7 @@ from typing import Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .planner import JointAction, PlanningState, _nearest_assignment, _travel_matrix
+from .planner import JointAction, PlanningState, _claim_nearest, _travel_matrix
 
 
 def optimistic_assign(state: PlanningState) -> JointAction:
@@ -18,8 +18,13 @@ def optimistic_assign(state: PlanningState) -> JointAction:
     """
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
-    tt = _travel_matrix(state.robot_xy, state.robot_speeds, state.poi_xy)
-    targets = _nearest_assignment(tt)
+    targets = _claim_nearest(
+        state.robot_xy[:, 0].tolist(),
+        state.robot_xy[:, 1].tolist(),
+        state.robot_speeds.tolist(),
+        state.poi_xy[:, 0].tolist(),
+        state.poi_xy[:, 1].tolist(),
+    )
     return JointAction(tuple(int(state.poi_ids[j]) for j in targets))
 
 

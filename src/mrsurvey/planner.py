@@ -9,7 +9,8 @@ for as long as it keeps the target; switching to another PoI, or losing
 the target to another robot's reveal, starts the next inspection from
 zero.  Cost accrues at cost_rate * (sum of remaining likelihoods) per
 second, so the optimal plan reveals probably-damaged PoIs as early as
-possible.
+possible.  One scalar segment step, `_step`, holds this rule: the
+simulator's `action_outcome`, the search and its greedy tail all fly it.
 
 The search is exact depth-first branch and bound over assignment/reveal
 sequences: robots commit to targets one at a time in robot-index order,
@@ -17,18 +18,18 @@ each reveal frees the finishing robot to re-commit from its interpolated
 position, and partial commitments are pruned with an admissible
 completion bound that respects in-flight targets and inspection
 progress.  Depth counts reveals; at depth_cap a greedy nearest-PoI
-rollout completes the value.  With more PoIs than n_priority, planning
-restricts itself to a priority subset (top likelihoods plus
-nearest-per-robot fill).
+rollout completes the value, with the same nearest claim
+(`_claim_nearest`) as the optimistic baseline.  With more PoIs than
+n_priority, planning restricts itself to a priority subset (top
+likelihoods plus nearest-per-robot fill).
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -171,7 +172,6 @@ class PlannerConfig:
     n_priority: int = 12
     n_top_prob: int = 6
     cost_rate: float = 1.0
-    bound_slack: float = 0.0
     prune: bool = True
 
     def validate(self) -> None:
@@ -183,8 +183,6 @@ class PlannerConfig:
             raise ValueError("n_priority must be >= 1")
         if not math.isfinite(self.cost_rate) or self.cost_rate <= 0.0:
             raise ValueError("cost_rate must be finite and > 0")
-        if self.bound_slack < 0.0:
-            raise ValueError("bound_slack must be >= 0")
 
 
 @dataclass
@@ -225,48 +223,67 @@ def travel_time(a: Tuple[float, float], b: Tuple[float, float], speed: float) ->
     return math.sqrt(dx * dx + dy * dy) / speed
 
 
-# --- joint-action enumeration ------------------------------------------------
-
-_ASSIGNMENT_CACHE: Dict[Tuple[int, int], np.ndarray] = {}
-
-
-def _assignments(n: int, n_robots: int) -> np.ndarray:
-    """All joint assignments as an (m, n_robots) array of PoI indices.
-
-    Distinct targets when n >= n_robots, otherwise every PoI covered at
-    least once.  Rows are in lexicographic order (robot index major,
-    PoI index minor), which is the canonical enumeration order.
-    """
-    key = (n, n_robots)
-    cached = _ASSIGNMENT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if n >= n_robots:
-        rows = itertools.permutations(range(n), n_robots)
-        arr = np.fromiter(
-            itertools.chain.from_iterable(rows), dtype=np.int64
-        ).reshape(-1, n_robots)
-    else:
-        full = set(range(n))
-        rows = [
-            row
-            for row in itertools.product(range(n), repeat=n_robots)
-            if set(row) == full
-        ]
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), n_robots)
-    _ASSIGNMENT_CACHE[key] = arr
-    return arr
-
-
-def enumerate_joint_actions(state: PlanningState) -> List[JointAction]:
-    if state.n_pois == 0:
-        raise ValueError("cannot enumerate actions for an empty remaining set")
-    A = _assignments(state.n_pois, state.n_robots)
-    ids = state.poi_ids
-    return [JointAction(tuple(ids[j] for j in row)) for row in A]
-
-
 # --- single-action dynamics --------------------------------------------------
+
+
+def _step(
+    rx: List[float],
+    ry: List[float],
+    spd: List[float],
+    xs: List[float],
+    ys: List[float],
+    pids: Sequence[int],
+    targ: List[int],
+    rem: List[float],
+) -> Tuple[float, int, List[float], List[float], List[int], List[float]]:
+    """Fly one segment on scalar state: the earliest completion reveals its PoI.
+
+    Robot i heads for PoI row targ[i] and needs rem[i] seconds of
+    inspection there.  Ties on the completion time go to the lowest PoI
+    id, then the lowest robot index.  Every robot advances toward its
+    target for the duration (capped at the target) and inspects for
+    whatever is left of it after arriving.  Returns the duration, the
+    finishing robot, the new positions, and each robot's target row
+    re-indexed past the revealed one (-1 for every robot aimed at it)
+    with the inspection time it still needs there.  The inputs are not
+    modified.
+    """
+    n_rob = len(rx)
+    tts = [0.0] * n_rob
+    duration = math.inf
+    winner = -1
+    for i in range(n_rob):
+        g = targ[i]
+        dx = rx[i] - xs[g]
+        dy = ry[i] - ys[g]
+        t = math.sqrt(dx * dx + dy * dy) / spd[i]
+        tts[i] = t
+        fin = t + rem[i]
+        if fin < duration or (fin == duration and (pids[g], i) < (pids[targ[winner]], winner)):
+            duration = fin
+            winner = i
+    g_win = targ[winner]
+    rx2 = [0.0] * n_rob
+    ry2 = [0.0] * n_rob
+    targ2 = [-1] * n_rob
+    rem2 = [0.0] * n_rob
+    for i in range(n_rob):
+        # The share of its leg a robot covers: all of it once arrived.
+        t = tts[i]
+        frac = 0.0 if t == 0.0 else 1.0 if t <= duration else duration / t
+        g = targ[i]
+        rx2[i] = rx[i] + frac * (xs[g] - rx[i])
+        ry2[i] = ry[i] + frac * (ys[g] - ry[i])
+        if g == g_win:
+            continue
+        q = rem[i]
+        if duration > t:
+            q -= duration - t
+            if q < 0.0:
+                q = 0.0
+        targ2[i] = g - 1 if g > g_win else g
+        rem2[i] = q
+    return duration, winner, rx2, ry2, targ2, rem2
 
 
 def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
@@ -274,12 +291,13 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
 
     A robot sent to the PoI it is already committed to needs only its
     remaining inspection time there; any other target costs the full
-    inspect time.  Ties on the completion time go to the lowest PoI id,
-    then the lowest robot index.  Non-finishing robots advance toward
-    their targets for the duration (capped at the target) and inspect
-    for whatever is left of it after arriving.  The successor keeps every
-    robot committed to its target, except the robots aimed at the
-    revealed PoI, which become free.
+    inspect time.  The segment is `_step`, the same one the search and
+    its greedy tail fly: ties on the completion time go to the lowest
+    PoI id, then the lowest robot index, and non-finishing robots
+    advance toward their targets and inspect for whatever is left of the
+    segment after arriving.  The successor keeps every robot committed
+    to its target, except the robots aimed at the revealed PoI, which
+    become free.
     """
     n, n_rob = state.n_pois, state.n_robots
     if n == 0:
@@ -296,68 +314,42 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
 
     # Scalar arithmetic on Python floats gives the same bits as on numpy
     # scalars, at a fraction of the per-operation cost.
-    rob = state.robot_xy.tolist()
-    pxy = state.poi_xy.tolist()
-    spd = state.robot_speeds.tolist()
     insp = state.inspect_times.tolist()
-    tts = []
-    needs = []
-    finishes = []
-    for i in range(n_rob):
-        j = t_idx[i]
-        dx = rob[i][0] - pxy[j][0]
-        dy = rob[i][1] - pxy[j][1]
-        tt = math.sqrt(dx * dx + dy * dy) / spd[i]
-        need = state.robot_remaining[i] if action.targets[i] == state.robot_targets[i] else insp[j]
-        tts.append(tt)
-        needs.append(need)
-        finishes.append(tt + need)
-    duration = min(finishes)
-    winner = min(
-        (i for i in range(n_rob) if finishes[i] == duration),
-        key=lambda i: (action.targets[i], i),
+    needs = [
+        q if pid == held else insp[j]
+        for pid, held, q, j in zip(action.targets, state.robot_targets, state.robot_remaining, t_idx)
+    ]
+    ids = state.poi_ids
+    duration, winner, rx, ry, targ, rem = _step(
+        state.robot_xy[:, 0].tolist(),
+        state.robot_xy[:, 1].tolist(),
+        state.robot_speeds.tolist(),
+        state.poi_xy[:, 0].tolist(),
+        state.poi_xy[:, 1].tolist(),
+        ids,
+        t_idx,
+        needs,
     )
-    first_poi = action.targets[winner]
     first_idx = t_idx[winner]
-
-    new_rob = []
-    targets: List[Optional[int]] = []
-    remaining: List[float] = []
-    for i in range(n_rob):
-        j = t_idx[i]
-        tt = tts[i]
-        frac = 0.0 if tt == 0.0 else min(duration, tt) / tt
-        (x, y), (px, py) = rob[i], pxy[j]
-        new_rob.append((x + frac * (px - x), y + frac * (py - y)))
-        if j == first_idx:
-            targets.append(None)
-            remaining.append(0.0)
-            continue
-        need = needs[i]
-        if duration > tt:
-            need -= duration - tt
-            if need < 0.0:
-                need = 0.0
-        targets.append(action.targets[i])
-        remaining.append(need)
+    ids2 = ids[:first_idx] + ids[first_idx + 1:]
 
     def drop(rows):
         return np.concatenate((rows[:first_idx], rows[first_idx + 1:]))
 
     successor = PlanningState(
-        poi_ids=state.poi_ids[:first_idx] + state.poi_ids[first_idx + 1:],
+        poi_ids=ids2,
         poi_xy=drop(state.poi_xy),
         inspect_times=drop(state.inspect_times),
         likelihoods=drop(state.likelihoods),
-        robot_xy=np.array(new_rob, dtype=float),
+        robot_xy=np.array(list(zip(rx, ry)), dtype=float),
         robot_speeds=state.robot_speeds,
-        robot_targets=tuple(targets),
-        robot_remaining=tuple(remaining),
+        robot_targets=tuple(None if t < 0 else ids2[t] for t in targ),
+        robot_remaining=tuple(rem),
         elapsed=state.elapsed + duration,
     )
     return ActionOutcome(
         duration=float(duration),
-        first_poi=int(first_poi),
+        first_poi=int(ids[first_idx]),
         finishing_robot=int(winner),
         successor=successor,
     )
@@ -376,6 +368,23 @@ def _progress(state: PlanningState) -> Tuple[List[int], List[float]]:
     inspection time it still needs there."""
     rows = [-1 if t is None else state.index_of(t) for t in state.robot_targets]
     return rows, list(state.robot_remaining)
+
+
+def _scalars(state: PlanningState) -> tuple:
+    """The state as fresh python lists, in `_tail`'s argument order: PoI
+    ids, x, y, inspect times and likelihoods, then robot x, y and speeds,
+    then `_progress`."""
+    return (
+        list(state.poi_ids),
+        state.poi_xy[:, 0].tolist(),
+        state.poi_xy[:, 1].tolist(),
+        state.inspect_times.tolist(),
+        state.likelihoods.tolist(),
+        state.robot_xy[:, 0].tolist(),
+        state.robot_xy[:, 1].tolist(),
+        state.robot_speeds.tolist(),
+        *_progress(state),
+    )
 
 
 def _least_need(insp: List[float], targ: List[int], rem: List[float]) -> List[float]:
@@ -402,24 +411,30 @@ def lower_bound(state: PlanningState, accrued: float, config: PlannerConfig) -> 
     return accrued + config.cost_rate * float((state.likelihoods * (mind + need)).sum())
 
 
-def _nearest_assignment(tt: np.ndarray) -> np.ndarray:
-    """Greedy per-robot nearest-PoI targets (indices) on a travel matrix.
+def _claim_nearest(
+    rx: List[float], ry: List[float], spd: List[float], xs: List[float], ys: List[float]
+) -> List[int]:
+    """Each robot's nearest-PoI claim, as a row index, on scalar state.
 
-    Robots claim distinct nearest PoIs in index order; once all PoIs are
-    claimed, remaining robots duplicate their nearest.  Row-wise argmin
-    takes the first (lowest-id) PoI on ties.
+    Robots claim distinct PoIs in the given order, each the unclaimed
+    one it reaches soonest (the lowest row on ties); once every PoI is
+    claimed, the remaining robots take their nearest.
     """
-    n_rob, n = tt.shape
-    taken = np.zeros(n, dtype=bool)
-    out = np.empty(n_rob, dtype=np.int64)
-    for i in range(n_rob):
-        if taken.all():
-            out[i] = int(tt[i].argmin())
-        else:
-            row = np.where(taken, np.inf, tt[i])
-            j = int(row.argmin())
-            out[i] = j
-            taken[j] = True
+    free = list(range(len(xs)))
+    out = []
+    for x, y, v in zip(rx, ry, spd):
+        best_g = -1
+        best_t = math.inf
+        for g in free or range(len(xs)):
+            dx = x - xs[g]
+            dy = y - ys[g]
+            t = math.sqrt(dx * dx + dy * dy) / v
+            if t < best_t:
+                best_t = t
+                best_g = g
+        if free:
+            free.remove(best_g)
+        out.append(best_g)
     return out
 
 
@@ -436,99 +451,33 @@ def _tail(
     rem: List[float],
     k_rate: float,
 ) -> float:
-    """Greedy completion cost on scalar state; consumes the lists in place.
+    """Greedy completion cost on scalar state; consumes the PoI lists.
 
-    Robots claim distinct nearest PoIs in the given order (duplicating
-    once all are claimed), the earliest completion reveals its PoI, and
-    everyone else advances for the segment duration.  tg[i] is the index
-    of robot i's committed PoI in the lists (-1 when free) and rem[i] the
-    inspection time it still needs there; a robot that claims its
-    committed PoI again keeps that progress.  The search calls this at
-    every leaf, where interpreter arithmetic is cheaper than array
+    Each segment, robots claim PoIs with `_claim_nearest` in the given
+    order and fly `_step`, the segment the simulator flies.  tg[i] is the
+    index of robot i's committed PoI in the lists (-1 when free) and
+    rem[i] the inspection time it still needs there; a robot that claims
+    its committed PoI again keeps that progress.  The search calls this
+    at every leaf, where interpreter arithmetic is cheaper than array
     dispatch on segments this small.
     """
-    n_rob = len(rx)
     total = 0.0
     while pids:
-        a = len(pids)
-        taken = [False] * a
-        n_taken = 0
-        tts = [0.0] * n_rob
-        for i in range(n_rob):
-            best_g = -1
-            best_t = math.inf
-            if n_taken >= a:
-                for g in range(a):
-                    dx = rx[i] - xs[g]
-                    dy = ry[i] - ys[g]
-                    t = math.sqrt(dx * dx + dy * dy) / spd[i]
-                    if t < best_t:
-                        best_t = t
-                        best_g = g
-            else:
-                for g in range(a):
-                    if taken[g]:
-                        continue
-                    dx = rx[i] - xs[g]
-                    dy = ry[i] - ys[g]
-                    t = math.sqrt(dx * dx + dy * dy) / spd[i]
-                    if t < best_t:
-                        best_t = t
-                        best_g = g
-                taken[best_g] = True
-                n_taken += 1
-            tts[i] = best_t
-            if tg[i] != best_g:
-                tg[i] = best_g
-                rem[i] = insp[best_g]
-        duration = math.inf
-        winner = -1
-        for i in range(n_rob):
-            fin = tts[i] + rem[i]
-            if fin < duration or (
-                fin == duration and (pids[tg[i]], i) < (pids[tg[winner]], winner)
-            ):
-                duration = fin
-                winner = i
+        claim = _claim_nearest(rx, ry, spd, xs, ys)
+        rem = [q if g == t else insp[g] for g, t, q in zip(claim, tg, rem)]
+        duration, winner, rx, ry, tg, rem = _step(rx, ry, spd, xs, ys, pids, claim, rem)
         psum = 0.0
-        for g in range(a):
-            psum += lik[g]
+        for p in lik:
+            psum += p
         total += k_rate * duration * psum
-        g_win = tg[winner]
-        for i in range(n_rob):
-            t = tts[i]
-            frac = 0.0 if t == 0.0 else min(duration, t) / t
-            g = tg[i]
-            rx[i] = rx[i] + frac * (xs[g] - rx[i])
-            ry[i] = ry[i] + frac * (ys[g] - ry[i])
-            if g == g_win:
-                tg[i] = -1
-                continue
-            if duration > t:
-                q = rem[i] - (duration - t)
-                rem[i] = q if q > 0.0 else 0.0
-            if g > g_win:
-                tg[i] = g - 1
-        del pids[g_win], xs[g_win], ys[g_win], insp[g_win], lik[g_win]
+        g = claim[winner]
+        del pids[g], xs[g], ys[g], insp[g], lik[g]
     return total
 
 
 def rollout_estimate(state: PlanningState, config: PlannerConfig) -> float:
     """Upper-bound completion cost from the state via the greedy policy."""
-    tg, rem = _progress(state)
-    return _tail(
-        list(state.poi_ids),
-        state.poi_xy[:, 0].tolist(),
-        state.poi_xy[:, 1].tolist(),
-        state.inspect_times.tolist(),
-        state.likelihoods.tolist(),
-        state.robot_xy[:, 0].tolist(),
-        state.robot_xy[:, 1].tolist(),
-        state.robot_speeds.tolist(),
-        tg,
-        rem,
-        config.cost_rate,
-    )
+    return _tail(*_scalars(state), config.cost_rate)
 
 
 # --- depth-first branch and bound ---------------------------------------------
@@ -540,6 +489,45 @@ class _SearchStats:
     def __init__(self) -> None:
         self.nodes_expanded = 0
         self.children_pruned = 0
+
+
+def _travel_rows(
+    rx: List[float], ry: List[float], spd: List[float], xs: List[float], ys: List[float]
+) -> List[List[float]]:
+    """Per robot, its straight-line travel time to every PoI."""
+    rows = []
+    for x, y, v in zip(rx, ry, spd):
+        row = []
+        for px, py in zip(xs, ys):
+            dx = x - px
+            dy = y - py
+            row.append(math.sqrt(dx * dx + dy * dy) / v)
+        rows.append(row)
+    return rows
+
+
+def _commit_row(trow: List[float], t: int, need: float, dpp_t: List[float], v: float) -> List[float]:
+    """Earliest arrival at every PoI for a robot committed to row t.
+
+    trow is the robot's travel row and need its inspection time at t;
+    any other PoI is reached only after finishing t, by the direct hop.
+    """
+    fin = trow[t] + need
+    row = [fin + d / v for d in dpp_t]
+    row[t] = trow[t]
+    return row
+
+
+def _column_min(rows: Sequence[List[float]], n: int) -> List[float]:
+    """Per PoI column, the least entry over the robot rows (inf if none)."""
+    if not rows:
+        return [math.inf] * n
+    m = rows[0][:]
+    for row in rows[1:]:
+        for l, f in enumerate(row):
+            if f < m[l]:
+                m[l] = f
+    return m
 
 
 def _search(
@@ -578,20 +566,11 @@ def _search(
     """
     n, n_rob = state.n_pois, state.n_robots
     k_rate = config.cost_rate
-    slack = config.bound_slack
     do_prune = config.prune
     cap = config.depth_cap
     rng_rob = range(n_rob)
 
-    pids0 = list(state.poi_ids)
-    xs0 = state.poi_xy[:, 0].tolist()
-    ys0 = state.poi_xy[:, 1].tolist()
-    insp0 = state.inspect_times.tolist()
-    lik0 = state.likelihoods.tolist()
-    rx0 = state.robot_xy[:, 0].tolist()
-    ry0 = state.robot_xy[:, 1].tolist()
-    spd0 = state.robot_speeds.tolist()
-    tgt0, rem0 = _progress(state)
+    pids0, xs0, ys0, insp0, lik0, rx0, ry0, spd0, tgt0, rem0 = _scalars(state)
     # Robots holding the same progress are interchangeable at the root.
     key0 = [
         (t, q) if t >= 0 and q < insp0[t] else None for t, q in zip(tgt0, rem0)
@@ -612,14 +591,6 @@ def _search(
     def floor_term(a, need_s, lik_s, dpp_s, trow_s):
         # Serialization floor on the completion term: slots per robot
         # start at its earliest finish and step by its cheapest hop.
-        if a == 1:
-            r0 = need_s[0]
-            m = math.inf
-            for r in rng_rob:
-                f = trow_s[r][0] + r0
-                if f < m:
-                    m = f
-            return lik_s[0] * m
         colmin = [math.inf] * a
         for p in range(a):
             rowp = dpp_s[p]
@@ -665,13 +636,8 @@ def _search(
 
     def log_node(pids_s, lik_s, need_s, trow_s, rx, ry, targ, rem, acc):
         s = 0.0
-        for l in range(len(pids_s)):
-            m = trow_s[0][l]
-            for r in range(1, n_rob):
-                f = trow_s[r][l]
-                if f < m:
-                    m = f
-            s += lik_s[l] * (m + need_s[l])
+        for p, m, q in zip(lik_s, _column_min(trow_s, len(pids_s)), need_s):
+            s += p * (m + q)
         node_log.append(
             NodeRecord(
                 poi_ids=tuple(pids_s),
@@ -683,6 +649,24 @@ def _search(
                 bound=acc + k_rate * s,
             )
         )
+
+    def settle(acc, s, sum_ir, floor):
+        # Arrival term s plus the least inspection needs, and the whole
+        # completion term no less than the serialization floor.
+        t = sum_ir + s
+        return acc + k_rate * (floor if t < floor else t)
+
+    def chain_bound(acc, rows, lik_s, sum_ir, floor):
+        # Each PoI charged its earliest arrival over the robot rows.
+        s = 0.0
+        for p, m in zip(lik_s, _column_min(rows, len(lik_s))):
+            s += p * m
+        return settle(acc, s, sum_ir, floor)
+
+    def beaten(b):
+        # Rounding can push the bound a few ulps past the true subtree
+        # minimum, so strict pruning keeps a margin.
+        return b > best_cost + 1e-9 * (abs(best_cost) + 1.0)
 
     best_cost = math.inf
     best_tuple: Optional[Tuple[int, ...]] = None
@@ -696,7 +680,6 @@ def _search(
             best_tuple = root_tuple
 
     def assign(seg, targ, rem, prx, pry, arr, accrued, reveals, prefix):
-        nonlocal best_cost, best_tuple
         pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, trow_s, sum_ir, psum, floor = seg
         na = len(pids_s)
         j = -1
@@ -760,138 +743,71 @@ def _search(
             if na - reveals_left >= n_rob and not duplicating:
                 # Commitment-aware arrivals are only admissible while
                 # targets stay singly claimed below this node.
-                om = [math.inf] * na
-                for r in rng_rob:
-                    if r == j:
-                        continue
-                    rowr = arr[r]
-                    for l in range(na):
-                        if rowr[l] < om[l]:
-                            om[l] = rowr[l]
+                om = _column_min([arr[r] for r in rng_rob if r != j], na)
+                rows_c = [
+                    _commit_row(rowj, c, rj if c == tj else insp_s[c], dpp_s[c], vj)
+                    for c in choices
+                ]
                 bnds = []
-                for c in choices:
-                    fin = rowj[c] + (rj if c == tj else insp_s[c])
-                    dc = dpp_s[c]
+                for row in rows_c:
                     s = 0.0
-                    for l in range(na):
-                        ch = rowj[c] if l == c else fin + dc[l] / vj
-                        o = om[l]
-                        if o < ch:
-                            ch = o
-                        s += lik_s[l] * ch
-                    t = sum_ir + s
-                    if t < floor:
-                        t = floor
-                    bnds.append(accrued + k_rate * t)
+                    for p, f, o in zip(lik_s, row, om):
+                        s += p * (o if o < f else f)
+                    bnds.append(settle(accrued, s, sum_ir, floor))
             else:
-                s = 0.0
-                for l in range(na):
-                    m = trow_s[0][l]
-                    for r in range(1, n_rob):
-                        f = trow_s[r][l]
-                        if f < m:
-                            m = f
-                    s += lik_s[l] * m
-                t = sum_ir + s
-                if t < floor:
-                    t = floor
-                nb = accrued + k_rate * t
-                bnds = [nb] * len(choices)
+                rows_c = None
+                bnds = [chain_bound(accrued, trow_s, lik_s, sum_ir, floor)] * len(choices)
             seq = sorted(range(len(choices)), key=bnds.__getitem__)
         else:
-            bnds = None
+            rows_c = bnds = None
             seq = range(len(choices))
 
         for oi, pos_k in enumerate(seq):
             c = choices[pos_k]
             if do_prune:
                 b = bnds[pos_k]
-                if slack > 0.0:
-                    if b >= best_cost - slack:
-                        stats.children_pruned += len(choices) - oi
-                        break
-                else:
-                    # Rounding can push the bound a few ulps past the true
-                    # subtree minimum, so strict pruning keeps a margin.
-                    if b > best_cost + 1e-9 * (abs(best_cost) + 1.0):
-                        stats.children_pruned += len(choices) - oi
-                        break
-                    if b == best_cost and b == accrued:
-                        # Exactly-zero completion bound: the subtree can
-                        # only tie, which matters solely for enumeration
-                        # order; skip unless this branch can still
-                        # lexicographically precede the incumbent.
-                        if best_tuple is not None:
-                            if rooting:
-                                cand = prefix + (pids_s[c],)
-                                head = best_tuple[: len(cand)]
-                                if cand > head or (cand == head and len(cand) == n_rob):
-                                    stats.children_pruned += 1
-                                    continue
-                            elif prefix >= best_tuple:
+                if beaten(b):
+                    stats.children_pruned += len(choices) - oi
+                    break
+                if b == best_cost and b == accrued:
+                    # Exactly-zero completion bound: the subtree can
+                    # only tie, which matters solely for enumeration
+                    # order; skip unless this branch can still
+                    # lexicographically precede the incumbent.
+                    if best_tuple is not None:
+                        if rooting:
+                            cand = prefix + (pids_s[c],)
+                            head = best_tuple[: len(cand)]
+                            if cand > head or (cand == head and len(cand) == n_rob):
                                 stats.children_pruned += 1
                                 continue
+                        elif prefix >= best_tuple:
+                            stats.children_pruned += 1
+                            continue
             need = rj if c == tj else insp_s[c]
             targ[j] = c
             rem[j] = need
-            new_prefix = prefix + (pids_s[c],) if rooting else prefix
-            fin = rowj[c] + need
-            dc = dpp_s[c]
-            row = [fin + dc[l] / vj for l in range(na)]
-            row[c] = rowj[c]
-            arr[j] = row
-            assign(seg, targ, rem, prx, pry, arr, accrued, reveals, new_prefix)
+            arr[j] = rows_c[pos_k] if rows_c else _commit_row(rowj, c, need, dpp_s[c], vj)
+            assign(seg, targ, rem, prx, pry, arr, accrued, reveals,
+                   prefix + (pids_s[c],) if rooting else prefix)
             arr[j] = rowj  # free robots carry their direct travel row
             targ[j] = -1
 
     def advance(seg, targ, rem, prx, pry, accrued, reveals, prefix):
-        nonlocal best_cost, best_tuple
         pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, trow_s, sum_ir, psum, floor = seg
         stats.nodes_expanded += 1
 
-        duration = math.inf
-        winner = -1
-        tts_c = [0.0] * n_rob
-        for r in rng_rob:
-            g = targ[r]
-            dx = prx[r] - xs_s[g]
-            dy = pry[r] - ys_s[g]
-            tt = math.sqrt(dx * dx + dy * dy) / spd0[r]
-            tts_c[r] = tt
-            fin = tt + rem[r]
-            if fin < duration or (
-                fin == duration and (pids_s[g], r) < (pids_s[targ[winner]], winner)
-            ):
-                duration = fin
-                winner = r
-        g_win = targ[winner]
-
+        # Survivors keep their targets, re-indexed past the revealed PoI.
+        duration, winner, nprx, npry, targ2, rem2 = _step(prx, pry, spd0, xs_s, ys_s, pids_s, targ, rem)
         acc2 = accrued + k_rate * duration * psum
-
-        # Survivors keep their targets, re-indexed past the revealed PoI,
-        # and spend what is left of the segment after arrival inspecting.
-        nprx = prx[:]
-        npry = pry[:]
-        targ2 = [-1] * n_rob
-        rem2 = [0.0] * n_rob
-        for r in rng_rob:
-            tt = tts_c[r]
-            frac = 0.0 if tt == 0.0 else min(duration, tt) / tt
-            g = targ[r]
-            nprx[r] = prx[r] + frac * (xs_s[g] - prx[r])
-            npry[r] = pry[r] + frac * (ys_s[g] - pry[r])
-            if g == g_win:
-                continue
-            q = rem[r]
-            if duration > tt:
-                q -= duration - tt
-                if q < 0.0:
-                    q = 0.0
-            targ2[r] = g - 1 if g > g_win else g
-            rem2[r] = q
-
+        g = targ[winner]
+        pids2 = pids_s[:g] + pids_s[g + 1:]
+        xs2 = xs_s[:g] + xs_s[g + 1:]
+        ys2 = ys_s[:g] + ys_s[g + 1:]
+        insp2 = insp_s[:g] + insp_s[g + 1:]
+        lik2 = lik_s[:g] + lik_s[g + 1:]
         reveals2 = reveals + 1
-        a2 = len(pids_s) - 1
+        a2 = len(pids2)
 
         if a2 == 0 or reveals2 >= cap:
             value = acc2
@@ -899,59 +815,19 @@ def _search(
                 # Tail on robots sorted by state: leaf values must not
                 # depend on robot labeling or the ascending-target
                 # reduction for identical robots would change the cost.
-                order = sorted(
-                    rng_rob, key=lambda r: (nprx[r], npry[r], spd0[r], targ2[r], rem2[r])
-                )
-                value += _tail(
-                    [pids_s[g] for g in range(a2 + 1) if g != g_win],
-                    [xs_s[g] for g in range(a2 + 1) if g != g_win],
-                    [ys_s[g] for g in range(a2 + 1) if g != g_win],
-                    [insp_s[g] for g in range(a2 + 1) if g != g_win],
-                    [lik_s[g] for g in range(a2 + 1) if g != g_win],
-                    [nprx[r] for r in order],
-                    [npry[r] for r in order],
-                    [spd0[r] for r in order],
-                    [targ2[r] for r in order],
-                    [rem2[r] for r in order],
-                    k_rate,
-                )
+                robots = sorted(zip(nprx, npry, spd0, targ2, rem2))
+                value += _tail(pids2, xs2, ys2, insp2, lik2, *map(list, zip(*robots)), k_rate)
             leaf_update(value, prefix)
             return
 
-        keep = [g for g in range(a2 + 1) if g != g_win]
-        pids2 = [pids_s[g] for g in keep]
-        xs2 = [xs_s[g] for g in keep]
-        ys2 = [ys_s[g] for g in keep]
-        insp2 = [insp_s[g] for g in keep]
-        lik2 = [lik_s[g] for g in keep]
-        dpp2 = [[dpp_s[p][q] for q in keep] for p in keep]
-        trow2 = []
-        for r in rng_rob:
-            x = nprx[r]
-            y = npry[r]
-            v = spd0[r]
-            row = [0.0] * a2
-            for g in range(a2):
-                dx = x - xs2[g]
-                dy = y - ys2[g]
-                row[g] = math.sqrt(dx * dx + dy * dy) / v
-            trow2.append(row)
+        dpp2 = [row[:g] + row[g + 1:] for row in dpp_s[:g] + dpp_s[g + 1:]]
+        trow2 = _travel_rows(nprx, npry, spd0, xs2, ys2)
         need2 = _least_need(insp2, targ2, rem2)
         seg2 = make_seg(pids2, xs2, ys2, insp2, need2, lik2, dpp2, trow2)
-        sum_ir2 = seg2[7]
-        floor2 = seg2[9]
-
-        arr2 = list(trow2)
-        for r in rng_rob:
-            t2 = targ2[r]
-            if t2 < 0:
-                continue
-            vr = spd0[r]
-            fin = trow2[r][t2] + rem2[r]
-            dt = dpp2[t2]
-            row = [fin + dt[l] / vr for l in range(a2)]
-            row[t2] = trow2[r][t2]
-            arr2[r] = row
+        arr2 = [
+            trow2[r] if t < 0 else _commit_row(trow2[r], t, rem2[r], dpp2[t], spd0[r])
+            for r, t in enumerate(targ2)
+        ]
 
         if node_log is not None:
             log_node(pids2, lik2, need2, trow2, nprx, npry, targ2, rem2, acc2)
@@ -963,46 +839,15 @@ def _search(
             rl2 = cap - reveals2
             if rl2 > a2:
                 rl2 = a2
-            rows = arr2 if a2 - rl2 >= n_rob else trow2
-            s = 0.0
-            for l in range(a2):
-                m = rows[0][l]
-                for r in range(1, n_rob):
-                    f = rows[r][l]
-                    if f < m:
-                        m = f
-                s += lik2[l] * m
-            t = sum_ir2 + s
-            if t < floor2:
-                t = floor2
-            nb = acc2 + k_rate * t
-            if slack > 0.0:
-                if nb >= best_cost - slack:
-                    return
-            else:
-                if nb > best_cost + 1e-9 * (abs(best_cost) + 1.0):
-                    return
-                if (
-                    nb == best_cost
-                    and nb == acc2
-                    and best_tuple is not None
-                    and prefix >= best_tuple
-                ):
-                    return
+            nb = chain_bound(acc2, arr2 if a2 - rl2 >= n_rob else trow2, lik2, seg2[7], seg2[9])
+            if beaten(nb):
+                return
+            if nb == best_cost and nb == acc2 and best_tuple is not None and prefix >= best_tuple:
+                return
 
         assign(seg2, targ2, rem2, nprx, npry, arr2, acc2, reveals2, prefix)
 
-    trow0 = []
-    for r in rng_rob:
-        x = rx0[r]
-        y = ry0[r]
-        v = spd0[r]
-        row = [0.0] * n
-        for g in range(n):
-            dx = x - xs0[g]
-            dy = y - ys0[g]
-            row[g] = math.sqrt(dx * dx + dy * dy) / v
-        trow0.append(row)
+    trow0 = _travel_rows(rx0, ry0, spd0, xs0, ys0)
     need0 = _least_need(insp0, tgt0, rem0)
     if node_log is not None:
         log_node(pids0, lik0, need0, trow0, rx0, ry0, tgt0, rem0, 0.0)

@@ -1,4 +1,5 @@
-"""Independent reference implementations checked against the library.
+"""Independent reference implementations checked against the library,
+and the exhaustive joint-action enumeration the tests compare with.
 
 Everything here is deliberately naive pure python: exhaustive
 enumeration instead of branch and bound, scalar loops instead of
@@ -9,7 +10,10 @@ ascending PoI id order, tail cost accumulated from zero) so optimal
 values agree bit for bit and exact-equality tie-breaking is comparable.
 """
 
+import itertools
 import math
+
+from mrsurvey.planner import JointAction
 
 
 def route_space_optimum(pois, robots, k=1.0, cap=None, progress=None):
@@ -135,6 +139,27 @@ def route_space_optimum(pois, robots, k=1.0, cap=None, progress=None):
     return best[0], best[1]
 
 
+def _assignments(n, n_robots):
+    """All joint assignments as tuples of PoI indices, one per robot.
+
+    Distinct targets when n >= n_robots, otherwise every PoI covered at
+    least once.  Rows are in lexicographic order (robot index major,
+    PoI index minor), which is the canonical enumeration order.
+    """
+    if n >= n_robots:
+        return list(itertools.permutations(range(n), n_robots))
+    full = set(range(n))
+    return [row for row in itertools.product(range(n), repeat=n_robots) if set(row) == full]
+
+
+def enumerate_joint_actions(state):
+    """Every joint action on a PlanningState, in the canonical order."""
+    if state.n_pois == 0:
+        raise ValueError("cannot enumerate actions for an empty remaining set")
+    ids = state.poi_ids
+    return [JointAction(tuple(ids[j] for j in row)) for row in _assignments(state.n_pois, state.n_robots)]
+
+
 def random_small_instance(rng, robot_choices=(1, 1, 2, 2, 2, 3)):
     """Random instance of 1..6 PoIs for the enumeration cross-checks.
 
@@ -156,6 +181,35 @@ def random_small_instance(rng, robot_choices=(1, 1, 2, 2, 2, 3)):
     if n_rob > 1 and rng.random() < 0.3:
         robots = [list(robots[0]) for _ in range(n_rob)]
     return pois, robots
+
+
+def nearest_claims(pois, robots):
+    """Optimistic-baseline targets, and how many claims a tie decided.
+
+    pois: list of (pid, x, y, inspect_time, likelihood) rows.
+    robots: list of [x, y, speed] rows.
+    In robot order, each robot takes the unclaimed PoI it reaches
+    soonest, the lowest id among equally near ones; once every PoI is
+    claimed, it takes the nearest of all of them.
+    """
+    ids = sorted(p[0] for p in pois)
+    where = {p[0]: (p[1], p[2]) for p in pois}
+    claimed = set()
+    targets = []
+    ties = 0
+    for x, y, v in robots:
+        cands = [pid for pid in ids if pid not in claimed] or ids
+        times = {}
+        for pid in cands:
+            dx = x - where[pid][0]
+            dy = y - where[pid][1]
+            times[pid] = math.sqrt(dx * dx + dy * dy) / v
+        best = min(times.values())
+        nearest = [pid for pid in cands if times[pid] == best]
+        ties += len(nearest) > 1
+        targets.append(nearest[0])
+        claimed.add(nearest[0])
+    return tuple(targets), ties
 
 
 def damage_prob_ref(position, poi_class, pockets_xy, sigma=60.0,

@@ -52,6 +52,26 @@ class TestOptimisticAssign:
         with pytest.raises(ValueError):
             m.optimistic_assign(st)
 
+    def test_matches_independent_restatement(self):
+        # Integer grid positions make exact distance ties common; half the
+        # multi-robot draws put robot 1 on robot 0's spot.
+        rng = random.Random(46)
+        seen = {"colocated": 0, "tie": 0, "mixed speeds": 0, "fewer PoIs": 0}
+        for _ in range(400):
+            pois = [(pid, float(rng.randint(-3, 3)), float(rng.randint(-3, 3)), 30.0, rng.random())
+                    for pid in rng.sample(range(40), rng.randint(1, 6))]
+            robots = [[float(rng.randint(-3, 3)), float(rng.randint(-3, 3)),
+                       rng.choice([0.5, 1.0, 1.0, 2.0, 3.0])] for _ in range(rng.randint(1, 5))]
+            if len(robots) > 1 and rng.random() < 0.5:
+                robots[1][:2] = robots[0][:2]
+                seen["colocated"] += 1
+            want, ties = reference.nearest_claims(pois, robots)
+            assert m.optimistic_assign(_state_from(pois, robots)).targets == want
+            seen["tie"] += ties > 0
+            seen["mixed speeds"] += len({r[2] for r in robots}) > 1
+            seen["fewer PoIs"] += len(pois) < len(robots)
+        assert min(seen.values()) >= 40, seen
+
 
 class TestGreedyAssign:
     def test_top_likelihood_set_with_min_travel_matching(self):
