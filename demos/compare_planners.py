@@ -42,9 +42,10 @@ print(f"model mean cost {m1:.1f} with 1 robot, {m3:.1f} with 3")
 
 # Emitted files are byte-stable for a fixed spec, which makes result
 # directories diffable across machines and reruns.
-out = Path(tempfile.mkdtemp())
-m.emit_outputs(report, out)
-for name in sorted(p.name for p in out.iterdir()):
-    print(f"wrote {name}")
-print("\nsummary.csv:")
-print((out / "summary.csv").read_text(), end="")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    m.emit_outputs(report, out)
+    for name in sorted(p.name for p in out.iterdir()):
+        print(f"wrote {name}")
+    print("\nsummary.csv:")
+    print((out / "summary.csv").read_text(), end="")

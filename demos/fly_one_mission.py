@@ -41,12 +41,13 @@ replay = m.replay_check(trace, scenario)
 print(f"\nreplay check ok={replay.ok}")
 
 # Traces serialize to JSON lines, one event per line plus a summary.
-path = Path(tempfile.mkdtemp()) / "trace.jsonl"
-m.write_trace(trace, path)
-again = m.load_trace(path)
-assert m.replay_check(again, scenario).ok
-print(f"trace file {path} holds {sum(1 for _ in open(path))} records, "
-      f"replays clean after reload")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "trace.jsonl"
+    m.write_trace(trace, path)
+    again = m.load_trace(path)
+    assert m.replay_check(again, scenario).ok
+    print(f"trace file {path.name} holds {len(path.read_text().splitlines())} records, "
+          f"replays clean after reload")
 
 # A mission with a sloppier planner reports the same damage later.
 base = m.run_mission(scenario, m.MissionConfig(planner="optimistic",

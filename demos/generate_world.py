@@ -47,11 +47,12 @@ n_cross = sum(1 for e in graph.edges if e.src != e.dst)
 print(f"\nproximity graph: {len(graph.nodes)} nodes, "
       f"{n_cross} cross edges within cutoff")
 
-out = Path(tempfile.mkdtemp())
-m.write_scenario(scenario, out / "scenario.json")
-m.write_graph(graph, out / "graph.json")
-loaded = m.load_scenario(out / "scenario.json")
-assert scenario_to_dict(loaded) == scenario_to_dict(scenario)
-size = (out / "graph.json").stat().st_size
-print(f"round trip through {out}/scenario.json ok, graph file {size} bytes")
-print(json.dumps(json.loads((out / 'scenario.json').read_text())["pois"][0]))
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    m.write_scenario(scenario, out / "scenario.json")
+    m.write_graph(graph, out / "graph.json")
+    loaded = m.load_scenario(out / "scenario.json")
+    assert scenario_to_dict(loaded) == scenario_to_dict(scenario)
+    size = (out / "graph.json").stat().st_size
+    print(f"round trip through scenario.json ok, graph file {size} bytes")
+    print(json.dumps(json.loads((out / "scenario.json").read_text())["pois"][0]))

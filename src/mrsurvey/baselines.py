@@ -18,13 +18,9 @@ def optimistic_assign(state: PlanningState) -> JointAction:
     """
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
-    targets = _claim_nearest(
-        state.robot_xy[:, 0].tolist(),
-        state.robot_xy[:, 1].tolist(),
-        state.robot_speeds.tolist(),
-        state.poi_xy[:, 0].tolist(),
-        state.poi_xy[:, 1].tolist(),
-    )
+    rx, ry = state.robot_xy.T.tolist()
+    xs, ys = state.poi_xy.T.tolist()
+    targets, _ = _claim_nearest(rx, ry, state.robot_speeds.tolist(), xs, ys)
     return JointAction(tuple(int(state.poi_ids[j]) for j in targets))
 
 

@@ -19,9 +19,15 @@ position, and partial commitments are pruned with an admissible
 completion bound that respects in-flight targets and inspection
 progress.  Depth counts reveals; at depth_cap a greedy nearest-PoI
 rollout completes the value, with the same nearest claim
-(`_claim_nearest`) as the optimistic baseline.  With more PoIs than
-n_priority, planning restricts itself to a priority subset (top
-likelihoods plus nearest-per-robot fill).
+(`_claim_nearest`) as the optimistic baseline.  That tail stops as soon
+as its cost passes the incumbent, which cannot change the result.  With
+more PoIs than n_priority, planning restricts itself to a priority
+subset (top likelihoods plus nearest-per-robot fill).
+
+Each travel time is computed once: the nearest claim and the search's
+travel rows hand theirs to `_step`.  Nodes that share a remaining PoI
+set share its pair distances and the nearest-neighbour distances of the
+serialization bound, which a reveal updates instead of recomputing.
 """
 
 from __future__ import annotations
@@ -229,37 +235,33 @@ def travel_time(a: Tuple[float, float], b: Tuple[float, float], speed: float) ->
 def _step(
     rx: List[float],
     ry: List[float],
-    spd: List[float],
     xs: List[float],
     ys: List[float],
     pids: Sequence[int],
     targ: List[int],
     rem: List[float],
+    tts: List[float],
 ) -> Tuple[float, int, List[float], List[float], List[int], List[float]]:
     """Fly one segment on scalar state: the earliest completion reveals its PoI.
 
-    Robot i heads for PoI row targ[i] and needs rem[i] seconds of
-    inspection there.  Ties on the completion time go to the lowest PoI
-    id, then the lowest robot index.  Every robot advances toward its
-    target for the duration (capped at the target) and inspects for
-    whatever is left of it after arriving.  Returns the duration, the
-    finishing robot, the new positions, and each robot's target row
-    re-indexed past the revealed one (-1 for every robot aimed at it)
-    with the inspection time it still needs there.  The inputs are not
-    modified.
+    Robot i heads for PoI row targ[i], tts[i] seconds away, and needs
+    rem[i] seconds of inspection there.  Every caller already holds the
+    travel times (the nearest claim, the search's travel rows), so the
+    step takes them instead of computing them again.  Ties on the
+    completion time go to the lowest PoI id, then the lowest robot index.
+    Every robot advances toward its target for the duration (capped at
+    the target) and inspects for whatever is left of it after arriving.
+    Returns the duration, the finishing robot, the new positions, and
+    each robot's target row re-indexed past the revealed one (-1 for
+    every robot aimed at it) with the inspection time it still needs
+    there.  The inputs are not modified.
     """
     n_rob = len(rx)
-    tts = [0.0] * n_rob
     duration = math.inf
     winner = -1
     for i in range(n_rob):
-        g = targ[i]
-        dx = rx[i] - xs[g]
-        dy = ry[i] - ys[g]
-        t = math.sqrt(dx * dx + dy * dy) / spd[i]
-        tts[i] = t
-        fin = t + rem[i]
-        if fin < duration or (fin == duration and (pids[g], i) < (pids[targ[winner]], winner)):
+        fin = tts[i] + rem[i]
+        if fin < duration or (fin == duration and (pids[targ[i]], i) < (pids[targ[winner]], winner)):
             duration = fin
             winner = i
     g_win = targ[winner]
@@ -320,16 +322,14 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
         for pid, held, q, j in zip(action.targets, state.robot_targets, state.robot_remaining, t_idx)
     ]
     ids = state.poi_ids
-    duration, winner, rx, ry, targ, rem = _step(
-        state.robot_xy[:, 0].tolist(),
-        state.robot_xy[:, 1].tolist(),
-        state.robot_speeds.tolist(),
-        state.poi_xy[:, 0].tolist(),
-        state.poi_xy[:, 1].tolist(),
-        ids,
-        t_idx,
-        needs,
-    )
+    rx, ry = state.robot_xy.T.tolist()
+    xs, ys = state.poi_xy.T.tolist()
+    tts = []
+    for x, y, v, g in zip(rx, ry, state.robot_speeds.tolist(), t_idx):
+        dx = x - xs[g]
+        dy = y - ys[g]
+        tts.append(math.sqrt(dx * dx + dy * dy) / v)
+    duration, winner, rx, ry, targ, rem = _step(rx, ry, xs, ys, ids, t_idx, needs, tts)
     first_idx = t_idx[winner]
     ids2 = ids[:first_idx] + ids[first_idx + 1:]
 
@@ -413,8 +413,9 @@ def lower_bound(state: PlanningState, accrued: float, config: PlannerConfig) -> 
 
 def _claim_nearest(
     rx: List[float], ry: List[float], spd: List[float], xs: List[float], ys: List[float]
-) -> List[int]:
-    """Each robot's nearest-PoI claim, as a row index, on scalar state.
+) -> Tuple[List[int], List[float]]:
+    """Each robot's nearest-PoI claim, as a row index, and its travel time
+    there, on scalar state.
 
     Robots claim distinct PoIs in the given order, each the unclaimed
     one it reaches soonest (the lowest row on ties); once every PoI is
@@ -422,6 +423,7 @@ def _claim_nearest(
     """
     free = list(range(len(xs)))
     out = []
+    times = []
     for x, y, v in zip(rx, ry, spd):
         best_g = -1
         best_t = math.inf
@@ -435,7 +437,8 @@ def _claim_nearest(
         if free:
             free.remove(best_g)
         out.append(best_g)
-    return out
+        times.append(best_t)
+    return out, times
 
 
 def _tail(
@@ -450,6 +453,8 @@ def _tail(
     tg: List[int],
     rem: List[float],
     k_rate: float,
+    acc: float,
+    cutoff: float,
 ) -> float:
     """Greedy completion cost on scalar state; consumes the PoI lists.
 
@@ -460,24 +465,33 @@ def _tail(
     its committed PoI again keeps that progress.  The search calls this
     at every leaf, where interpreter arithmetic is cheaper than array
     dispatch on segments this small.
+
+    acc is the cost accrued before the tail and cutoff the search's
+    incumbent: as soon as acc + total exceeds cutoff the tail stops and
+    returns inf.  Every segment adds a non-negative term and float
+    addition is monotone, so inf comes back exactly when acc plus the
+    full completion cost exceeds cutoff; otherwise the full cost comes
+    back, bit for bit.  With cutoff inf, acc does not matter.
     """
     total = 0.0
-    while pids:
-        claim = _claim_nearest(rx, ry, spd, xs, ys)
+    while acc + total <= cutoff:
+        if not pids:
+            return total
+        claim, tts = _claim_nearest(rx, ry, spd, xs, ys)
         rem = [q if g == t else insp[g] for g, t, q in zip(claim, tg, rem)]
-        duration, winner, rx, ry, tg, rem = _step(rx, ry, spd, xs, ys, pids, claim, rem)
+        duration, winner, rx, ry, tg, rem = _step(rx, ry, xs, ys, pids, claim, rem, tts)
         psum = 0.0
         for p in lik:
             psum += p
         total += k_rate * duration * psum
         g = claim[winner]
         del pids[g], xs[g], ys[g], insp[g], lik[g]
-    return total
+    return math.inf
 
 
 def rollout_estimate(state: PlanningState, config: PlannerConfig) -> float:
     """Upper-bound completion cost from the state via the greedy policy."""
-    return _tail(*_scalars(state), config.cost_rate)
+    return _tail(*_scalars(state), config.cost_rate, 0.0, math.inf)
 
 
 # --- depth-first branch and bound ---------------------------------------------
@@ -588,51 +602,94 @@ def _search(
             rowp[q] = d
             dpp0[q][p] = d
 
-    def floor_term(a, need_s, lik_s, dpp_s, trow_s):
+    speeds = list(dict.fromkeys(spd0))
+
+    def nearest(dpp_s, q):
+        # PoI q's least distance to another remaining PoI (inf if none).
+        row = dpp_s[q]
+        return min(row[:q] + row[q + 1:], default=math.inf)
+
+    def layout(pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, nn_s):
+        # What every node with this remaining set shares: the PoI lists,
+        # the pair distances, each PoI's nearest-neighbour distance and
+        # the likelihoods sorted high to low (both for the floor), and
+        # the likelihood sum.
+        psum = 0.0
+        for p in lik_s:
+            psum += p
+        pdesc = sorted(lik_s, reverse=True) if do_prune else None
+        return (pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, nn_s, pdesc, psum)
+
+    def reveal(lay, g):
+        # The layout without row g.  A nearest-neighbour distance changes
+        # only where g could have been the nearest neighbour.
+        pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, nn_s = lay[:7]
+        dpp2 = dpp_s[:g] + dpp_s[g + 1:]
+        for i, row in enumerate(dpp2):
+            row = row[:]
+            del row[g]
+            dpp2[i] = row
+        nn2 = None
+        if nn_s is not None:
+            nn2 = []
+            for q, (d, m) in enumerate(zip(dpp_s[g], nn_s)):
+                if q != g:
+                    nn2.append(nearest(dpp2, len(nn2)) if d == m else m)
+        return layout(
+            pids_s[:g] + pids_s[g + 1:],
+            xs_s[:g] + xs_s[g + 1:],
+            ys_s[:g] + ys_s[g + 1:],
+            insp_s[:g] + insp_s[g + 1:],
+            lik_s[:g] + lik_s[g + 1:],
+            dpp2,
+            nn2,
+        )
+
+    def floor_term(need_s, nn_s, pdesc, trow_s):
         # Serialization floor on the completion term: slots per robot
-        # start at its earliest finish and step by its cheapest hop.
-        colmin = [math.inf] * a
-        for p in range(a):
-            rowp = dpp_s[p]
-            for q in range(a):
-                if p != q and rowp[q] < colmin[q]:
-                    colmin[q] = rowp[q]
-        slots = []
-        for r in rng_rob:
-            row = trow_s[r]
-            v = spd0[r]
-            m = math.inf
+        # start at its earliest finish and step by its cheapest hop,
+        # which depends on the robot only through its speed.  Each
+        # robot's slots ascend, so merging them yields the smallest ones
+        # in order without listing and sorting them all.
+        hops = {}
+        for v in speeds:
             h = math.inf
-            for g in range(a):
-                f = row[g] + need_s[g]
-                if f < m:
-                    m = f
-                c = colmin[g] / v + need_s[g]
+            for d, q in zip(nn_s, need_s):
+                c = d / v + q
                 if c < h:
                     h = c
-            s = m
-            for _ in range(a):
-                slots.append(s)
-                s += h
-        slots.sort()
-        pdesc = sorted(lik_s, reverse=True)
+            hops[v] = h
+        slot = []
+        step = []
+        for r in rng_rob:
+            m = math.inf
+            for f, q in zip(trow_s[r], need_s):
+                f += q
+                if f < m:
+                    m = f
+            slot.append(m)
+            step.append(hops[spd0[r]])
         t = 0.0
-        for i in range(a):
-            t += pdesc[i] * slots[i]
+        for p in pdesc:
+            k = 0
+            s = slot[0]
+            for r in rng_rob:
+                if slot[r] < s:
+                    s = slot[r]
+                    k = r
+            t += p * s
+            slot[k] = s + step[k]
         return t
 
-    def make_seg(pids_s, xs_s, ys_s, insp_s, need_s, lik_s, dpp_s, trow_s):
+    def make_seg(lay, need_s, trow_s):
+        # A node's segment: its layout and travel rows, the inspection
+        # term, the floor, and the child layouts its reveals share.
+        _, _, _, _, lik_s, _, nn_s, pdesc, _ = lay
         sum_ir = 0.0
-        psum = 0.0
-        for g in range(len(pids_s)):
-            sum_ir += lik_s[g] * need_s[g]
-            psum += lik_s[g]
-        floor = (
-            floor_term(len(pids_s), need_s, lik_s, dpp_s, trow_s)
-            if do_prune
-            else 0.0
-        )
-        return (pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, trow_s, sum_ir, psum, floor)
+        for p, q in zip(lik_s, need_s):
+            sum_ir += p * q
+        floor = floor_term(need_s, nn_s, pdesc, trow_s) if do_prune else 0.0
+        return (lay, trow_s, sum_ir, floor, {})
 
     def log_node(pids_s, lik_s, need_s, trow_s, rx, ry, targ, rem, acc):
         s = 0.0
@@ -680,7 +737,8 @@ def _search(
             best_tuple = root_tuple
 
     def assign(seg, targ, rem, prx, pry, arr, accrued, reveals, prefix):
-        pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, trow_s, sum_ir, psum, floor = seg
+        lay, trow_s, sum_ir, floor, _ = seg
+        pids_s, _, _, insp_s, lik_s, dpp_s, _, _, _ = lay
         na = len(pids_s)
         j = -1
         for r in rng_rob:
@@ -742,24 +800,33 @@ def _search(
                 reveals_left = na
             if na - reveals_left >= n_rob and not duplicating:
                 # Commitment-aware arrivals are only admissible while
-                # targets stay singly claimed below this node.
+                # targets stay singly claimed below this node.  Each
+                # choice is priced on the arrivals `_commit_row` would
+                # give, without building the row: only entered children
+                # need it.
                 om = _column_min([arr[r] for r in rng_rob if r != j], na)
-                rows_c = [
-                    _commit_row(rowj, c, rj if c == tj else insp_s[c], dpp_s[c], vj)
-                    for c in choices
-                ]
                 bnds = []
-                for row in rows_c:
+                for c in choices:
+                    tc = rowj[c]
+                    fin = tc + (rj if c == tj else insp_s[c])
+                    dc = dpp_s[c]
                     s = 0.0
-                    for p, f, o in zip(lik_s, row, om):
-                        s += p * (o if o < f else f)
+                    for l in range(c):
+                        f = fin + dc[l] / vj
+                        o = om[l]
+                        s += lik_s[l] * (o if o < f else f)
+                    o = om[c]
+                    s += lik_s[c] * (o if o < tc else tc)
+                    for l in range(c + 1, na):
+                        f = fin + dc[l] / vj
+                        o = om[l]
+                        s += lik_s[l] * (o if o < f else f)
                     bnds.append(settle(accrued, s, sum_ir, floor))
             else:
-                rows_c = None
                 bnds = [chain_bound(accrued, trow_s, lik_s, sum_ir, floor)] * len(choices)
             seq = sorted(range(len(choices)), key=bnds.__getitem__)
         else:
-            rows_c = bnds = None
+            bnds = None
             seq = range(len(choices))
 
         for oi, pos_k in enumerate(seq):
@@ -787,27 +854,25 @@ def _search(
             need = rj if c == tj else insp_s[c]
             targ[j] = c
             rem[j] = need
-            arr[j] = rows_c[pos_k] if rows_c else _commit_row(rowj, c, need, dpp_s[c], vj)
+            arr[j] = _commit_row(rowj, c, need, dpp_s[c], vj)
             assign(seg, targ, rem, prx, pry, arr, accrued, reveals,
                    prefix + (pids_s[c],) if rooting else prefix)
             arr[j] = rowj  # free robots carry their direct travel row
             targ[j] = -1
 
     def advance(seg, targ, rem, prx, pry, accrued, reveals, prefix):
-        pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, trow_s, sum_ir, psum, floor = seg
+        lay, trow_s, _, _, kids = seg
+        pids_s, xs_s, ys_s, insp_s, lik_s, _, _, _, psum = lay
         stats.nodes_expanded += 1
 
         # Survivors keep their targets, re-indexed past the revealed PoI.
-        duration, winner, nprx, npry, targ2, rem2 = _step(prx, pry, spd0, xs_s, ys_s, pids_s, targ, rem)
+        # The travel rows were built from these very positions.
+        tts = [trow_s[r][targ[r]] for r in rng_rob]
+        duration, winner, nprx, npry, targ2, rem2 = _step(prx, pry, xs_s, ys_s, pids_s, targ, rem, tts)
         acc2 = accrued + k_rate * duration * psum
         g = targ[winner]
-        pids2 = pids_s[:g] + pids_s[g + 1:]
-        xs2 = xs_s[:g] + xs_s[g + 1:]
-        ys2 = ys_s[:g] + ys_s[g + 1:]
-        insp2 = insp_s[:g] + insp_s[g + 1:]
-        lik2 = lik_s[:g] + lik_s[g + 1:]
         reveals2 = reveals + 1
-        a2 = len(pids2)
+        a2 = len(pids_s) - 1
 
         if a2 == 0 or reveals2 >= cap:
             value = acc2
@@ -815,15 +880,31 @@ def _search(
                 # Tail on robots sorted by state: leaf values must not
                 # depend on robot labeling or the ascending-target
                 # reduction for identical robots would change the cost.
+                # A tail that passes the incumbent cannot change the
+                # result, so it stops there.
                 robots = sorted(zip(nprx, npry, spd0, targ2, rem2))
-                value += _tail(pids2, xs2, ys2, insp2, lik2, *map(list, zip(*robots)), k_rate)
+                value += _tail(
+                    pids_s[:g] + pids_s[g + 1:],
+                    xs_s[:g] + xs_s[g + 1:],
+                    ys_s[:g] + ys_s[g + 1:],
+                    insp_s[:g] + insp_s[g + 1:],
+                    lik_s[:g] + lik_s[g + 1:],
+                    *map(list, zip(*robots)),
+                    k_rate,
+                    acc2,
+                    best_cost,
+                )
             leaf_update(value, prefix)
             return
 
-        dpp2 = [row[:g] + row[g + 1:] for row in dpp_s[:g] + dpp_s[g + 1:]]
+        # Siblings that reveal the same PoI share the child layout.
+        lay2 = kids.get(g)
+        if lay2 is None:
+            lay2 = kids[g] = reveal(lay, g)
+        pids2, xs2, ys2, insp2, lik2, dpp2 = lay2[:6]
         trow2 = _travel_rows(nprx, npry, spd0, xs2, ys2)
         need2 = _least_need(insp2, targ2, rem2)
-        seg2 = make_seg(pids2, xs2, ys2, insp2, need2, lik2, dpp2, trow2)
+        seg2 = make_seg(lay2, need2, trow2)
         arr2 = [
             trow2[r] if t < 0 else _commit_row(trow2[r], t, rem2[r], dpp2[t], spd0[r])
             for r, t in enumerate(targ2)
@@ -839,7 +920,7 @@ def _search(
             rl2 = cap - reveals2
             if rl2 > a2:
                 rl2 = a2
-            nb = chain_bound(acc2, arr2 if a2 - rl2 >= n_rob else trow2, lik2, seg2[7], seg2[9])
+            nb = chain_bound(acc2, arr2 if a2 - rl2 >= n_rob else trow2, lik2, seg2[2], seg2[3])
             if beaten(nb):
                 return
             if nb == best_cost and nb == acc2 and best_tuple is not None and prefix >= best_tuple:
@@ -851,7 +932,8 @@ def _search(
     need0 = _least_need(insp0, tgt0, rem0)
     if node_log is not None:
         log_node(pids0, lik0, need0, trow0, rx0, ry0, tgt0, rem0, 0.0)
-    seg0 = make_seg(pids0, xs0, ys0, insp0, need0, lik0, dpp0, trow0)
+    nn0 = [nearest(dpp0, q) for q in range(n)] if do_prune else None
+    seg0 = make_seg(layout(pids0, xs0, ys0, insp0, lik0, dpp0, nn0), need0, trow0)
 
     # No incumbent seeding: children are visited in bound order, so the
     # first descent already lands on a realized route and every later

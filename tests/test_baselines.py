@@ -5,6 +5,7 @@ import random
 import pytest
 
 import mrsurvey as m
+from mrsurvey.planner import _claim_nearest
 
 import reference
 
@@ -66,7 +67,15 @@ class TestOptimisticAssign:
                 robots[1][:2] = robots[0][:2]
                 seen["colocated"] += 1
             want, ties = reference.nearest_claims(pois, robots)
-            assert m.optimistic_assign(_state_from(pois, robots)).targets == want
+            st = _state_from(pois, robots)
+            assert m.optimistic_assign(st).targets == want
+            # The claim also hands back each robot's travel time to its
+            # claim; the segment step uses it in place of its own sqrt.
+            xy = st.poi_xy.tolist()
+            claims, times = _claim_nearest(*st.robot_xy.T.tolist(), st.robot_speeds.tolist(),
+                                           *st.poi_xy.T.tolist())
+            for (x, y, v), g, t in zip(robots, claims, times):
+                assert t.hex() == m.travel_time((x, y), tuple(xy[g]), v).hex()
             seen["tie"] += ties > 0
             seen["mixed speeds"] += len({r[2] for r in robots}) > 1
             seen["fewer PoIs"] += len(pois) < len(robots)

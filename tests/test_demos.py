@@ -15,7 +15,8 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_cleanly(path, tmp_path, monkeypatch, capsys):
-    # keep the temporary directories the demos write into under tmp_path
+    # The demos' temporary files land under tmp_path, and must be gone
+    # once the demo ends.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.chdir(tmp_path)
     try:
@@ -23,3 +24,4 @@ def test_demo_runs_cleanly(path, tmp_path, monkeypatch, capsys):
     except SystemExit as exc:
         assert exc.code in (None, 0)
     assert capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []

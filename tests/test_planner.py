@@ -1,5 +1,6 @@
 """Tests for the joint-action planning engine."""
 
+import functools
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import mrsurvey as m
-from mrsurvey.planner import NodeRecord
+from mrsurvey.planner import NodeRecord, _scalars, _tail
 
 import reference
 
@@ -539,6 +540,36 @@ class TestRollout:
         st = _state_from([(0, 50.0, 0.0, 30.0, 1.0)], [[50, 0, 1]], [(0, 12.0)])
         assert m.rollout_estimate(st, CFG6) == 12.0
 
+    def test_tail_cutoff_is_exact(self):
+        # The search stops a leaf's greedy tail once accrued plus tail cost
+        # passes the incumbent.  That must return inf exactly when the
+        # uncut leaf value is above the cutoff, and the uncut cost bit for
+        # bit otherwise; without a cutoff the tail is rollout_estimate.
+        rng = random.Random(1618)
+        prog_rng = random.Random(3398)
+        cut_midway = 0
+        for trial in range(60):
+            pois, robots = reference.random_small_instance(rng)
+            progress = None
+            if trial % 2:
+                robots, progress = _with_progress(prog_rng, pois, robots)
+            st = _state_from(pois, robots, progress)
+            k_rate = rng.choice([1.0, 2.5])
+            acc = rng.choice([0.0, rng.uniform(0.0, 500.0)])
+            uncut = _tail(*_scalars(st), k_rate, acc, math.inf)
+            assert uncut == m.rollout_estimate(st, m.PlannerConfig(cost_rate=k_rate))
+            value = acc + uncut
+            cutoffs = [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf),
+                       acc, 0.0, 2.0 * value] + [rng.uniform(acc, value) for _ in range(4)]
+            for cutoff in cutoffs:
+                got = _tail(*_scalars(st), k_rate, acc, cutoff)
+                if value <= cutoff:
+                    assert got.hex() == uncut.hex()
+                else:
+                    assert got == math.inf
+                    cut_midway += cutoff > acc
+        assert cut_midway >= 100
+
 
 class TestPlanAndPruning:
     def test_pruning_leaves_results_unchanged(self):
@@ -586,6 +617,60 @@ class TestPlanAndPruning:
         assert res.nodes_expanded >= 1
         assert res.children_pruned >= 0
         assert abs(res.cost - 11.2) <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_state(seed, n_pois, n_robots, steps):
+    """A mission-like state: robots start together at the origin, then
+    one-reveal-deep plans fly `steps` reveals (committed robots carry
+    their targets and inspection progress past each reveal)."""
+    rng = random.Random(seed)
+    pois = [(pid, round(rng.uniform(-200.0, 200.0), 1), round(rng.uniform(-200.0, 200.0), 1),
+             rng.choice([10.0, 30.0, 45.0]), round(rng.random(), 3)) for pid in range(n_pois)]
+    st = m.make_state(pois, [m.RobotState(i, 0.0, 0.0, rng.choice([1.0, 1.0, 2.0]))
+                             for i in range(n_robots)])
+    for _ in range(steps):
+        st = m.action_outcome(st, m.plan(st, m.PlannerConfig(depth_cap=1))).successor
+    return st
+
+
+# seed, PoIs, robots, reveals flown, prune -> action, cost, nodes, pruned
+PINNED_SEARCHES = [
+    (1, 9, 1, 0, True, (1,), 2174.5516289825173, 157, 237),
+    (2, 9, 1, 2, True, (2,), 1413.8195250769793, 32, 37),
+    (3, 10, 3, 0, True, (0, 3, 8), 987.6256920215747, 252, 590),
+    (4, 10, 3, 2, True, (0, 5, 2), 703.5133073529119, 65, 170),
+    (5, 9, 5, 0, True, (3, 0, 2, 8, 4), 578.8550775396969, 1059, 1066),
+    (6, 10, 5, 3, True, (6, 7, 0, 1, 9), 242.69746287023082, 4617, 0),
+    (7, 20, 3, 0, True, (3, 7, 13), 921.9498842184298, 7563, 14905),
+    (8, 20, 3, 4, True, (19, 6, 11), 664.6534063637775, 1714, 5720),
+    (9, 6, 1, 1, False, (3,), 358.14316416550355, 291, 0),
+    (10, 6, 3, 2, False, (4, 0, 2), 52.936247228453325, 286, 0),
+]
+
+
+class TestPinnedSearch:
+    @pytest.mark.parametrize("case", PINNED_SEARCHES, ids=lambda c: f"seed{c[0]}")
+    def test_action_cost_and_search_counts(self, case):
+        # Exact values: a faster search must expand and prune exactly the
+        # same nodes and return the same bits, not just an equal optimum.
+        seed, n_pois, n_robots, steps, prune, action, cost, nodes, pruned = case
+        st = _pinned_state(seed, n_pois, n_robots, steps)
+        res = m.plan_detailed(st, m.PlannerConfig(prune=prune))
+        assert (res.action.targets, res.cost, res.nodes_expanded, res.children_pruned) == (
+            action, cost, nodes, pruned)
+
+    def test_cases_cover_progress_subsets_and_team_sizes(self):
+        states = [(_pinned_state(*c[:4]), c) for c in PINNED_SEARCHES]
+        assert {c[2] for _, c in states} == {1, 3, 5}
+        assert any(st.n_pois > m.PlannerConfig().n_priority for st, _ in states)
+        assert sum(not c[4] for _, c in states) == 2
+        # part-way inspections: committed robots with less than the full time left
+        assert any(
+            t is not None and q < st.inspect_times[st.index_of(t)]
+            for st, _ in states
+            for t, q in zip(st.robot_targets, st.robot_remaining)
+        )
 
 
 class TestPlannerConfig:
