@@ -26,12 +26,9 @@ from .planner import (
     PlanResult,
     RobotState,
     action_outcome,
-    expected_cost,
-    lower_bound,
     make_state,
     plan,
     plan_detailed,
-    rollout_estimate,
     select_priority_subset,
     travel_time,
 )

@@ -13,7 +13,7 @@ import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .estimator import resolve_likelihoods
 from .planner import PlannerConfig
@@ -35,8 +35,6 @@ class ExperimentSpec:
     speed: float = 1.0
     gen_params: GenerativeParams = field(default_factory=GenerativeParams)
     parallelism: int = 1
-    validate_traces: bool = True
-    keep_curves: bool = True
 
     def validate(self) -> None:
         if self.n_trials < 1:
@@ -102,10 +100,7 @@ def _run_trial(
             seed=seed,
         )
         trace = run_mission(scenario, config, likelihoods=likelihoods)
-        if spec.validate_traces:
-            result = replay_check(trace, scenario)
-        else:
-            result = None
+        result = replay_check(trace, scenario)
         curve = tuple(
             (c.time, c.distance_traveled, c.expected_cost_accrued, c.realized_cost_accrued, c.n_damaged_unreported)
             for c in trace.cost_curve
@@ -117,9 +112,9 @@ def _run_trial(
             planning_calls=trace.planning_calls.count,
             planning_wall_median=trace.planning_calls.median_wall,
             planning_wall_total=trace.planning_calls.total_wall,
-            curve=curve if spec.keep_curves else (),
-            replay_ok=(result.ok if result is not None else True),
-            replay_reasons=tuple(result.reasons) if result is not None else (),
+            curve=curve,
+            replay_ok=result.ok,
+            replay_reasons=tuple(result.reasons),
         )
     return n_pois, n_robots, seed, out
 
@@ -172,10 +167,7 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
                     seeds=seeds,
                     costs=costs,
                 )
-                if spec.keep_curves:
-                    curves[(planner, n_p, n_r)] = tuple(
-                        (r[2], r[3][planner].curve) for r in rows
-                    )
+                curves[(planner, n_p, n_r)] = tuple((r[2], r[3][planner].curve) for r in rows)
                 for r in rows:
                     o = r[3][planner]
                     if not o.replay_ok:
@@ -264,13 +256,12 @@ def emit_outputs(report: AggregateReport, out_dir: str) -> List[str]:
                 dst.write(src.read())
             written.append(plain)
 
-    if spec.keep_curves:
-        for (planner, n_p, n_r), rows in sorted(report.curves.items()):
-            path = os.path.join(out_dir, f"curves_p{n_p}_r{n_r}_{planner}.jsonl")
-            with open(path, "w") as f:
-                for seed, curve in rows:
-                    f.write(json.dumps({"seed": seed, "curve": [list(pt) for pt in curve]}) + "\n")
-            written.append(path)
+    for (planner, n_p, n_r), rows in sorted(report.curves.items()):
+        path = os.path.join(out_dir, f"curves_p{n_p}_r{n_r}_{planner}.jsonl")
+        with open(path, "w") as f:
+            for seed, curve in rows:
+                f.write(json.dumps({"seed": seed, "curve": [list(pt) for pt in curve]}) + "\n")
+        written.append(path)
 
     stats_path = os.path.join(out_dir, "stats.json")
     with open(stats_path, "w") as f:

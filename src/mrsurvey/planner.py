@@ -12,7 +12,7 @@ second, so the optimal plan reveals probably-damaged PoIs as early as
 possible.  One scalar segment step, `_step`, holds this rule: the
 simulator's `action_outcome`, the search and its greedy tail all fly it.
 
-The search is exact depth-first branch and bound over assignment/reveal
+The search is depth-first branch and bound over assignment/reveal
 sequences: robots commit to targets one at a time in robot-index order,
 each reveal frees the finishing robot to re-commit from its interpolated
 position, and partial commitments are pruned with an admissible
@@ -20,9 +20,11 @@ completion bound that respects in-flight targets and inspection
 progress.  Depth counts reveals; at depth_cap a greedy nearest-PoI
 rollout completes the value, with the same nearest claim
 (`_claim_nearest`) as the optimistic baseline.  That tail stops as soon
-as its cost passes the incumbent, which cannot change the result.  With
-more PoIs than n_priority, planning restricts itself to a priority
-subset (top likelihoods plus nearest-per-robot fill).
+as its cost passes the incumbent, which cannot change the result.  The
+tail re-claims the nearest PoI every segment while the bound assumes
+committed robots finish their targets, so pruning is exact only when no
+tail runs.  With more PoIs than n_priority, planning restricts itself
+to a priority subset (top likelihoods plus nearest-per-robot fill).
 
 Each travel time is computed once: the nearest claim and the search's
 travel rows hand theirs to `_step`.  Nodes that share a remaining PoI
@@ -355,7 +357,7 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
     )
 
 
-# --- bounds and rollout -------------------------------------------------------
+# --- bounds and greedy tail ---------------------------------------------------
 
 
 def _travel_matrix(rob: np.ndarray, spd: np.ndarray, xy: np.ndarray) -> np.ndarray:
@@ -363,17 +365,11 @@ def _travel_matrix(rob: np.ndarray, spd: np.ndarray, xy: np.ndarray) -> np.ndarr
     return np.sqrt((diff * diff).sum(-1)) / spd[:, None]
 
 
-def _progress(state: PlanningState) -> Tuple[List[int], List[float]]:
-    """Each robot's committed PoI as a row index (-1 when free), and the
-    inspection time it still needs there."""
-    rows = [-1 if t is None else state.index_of(t) for t in state.robot_targets]
-    return rows, list(state.robot_remaining)
-
-
 def _scalars(state: PlanningState) -> tuple:
     """The state as fresh python lists, in `_tail`'s argument order: PoI
     ids, x, y, inspect times and likelihoods, then robot x, y and speeds,
-    then `_progress`."""
+    then each robot's committed PoI as a row index (-1 when free) and the
+    inspection time it still needs there."""
     return (
         list(state.poi_ids),
         state.poi_xy[:, 0].tolist(),
@@ -383,7 +379,8 @@ def _scalars(state: PlanningState) -> tuple:
         state.robot_xy[:, 0].tolist(),
         state.robot_xy[:, 1].tolist(),
         state.robot_speeds.tolist(),
-        *_progress(state),
+        [-1 if t is None else state.index_of(t) for t in state.robot_targets],
+        list(state.robot_remaining),
     )
 
 
@@ -394,21 +391,6 @@ def _least_need(insp: List[float], targ: List[int], rem: List[float]) -> List[fl
         if t >= 0 and q < need[t]:
             need[t] = q
     return need
-
-
-def lower_bound(state: PlanningState, accrued: float, config: PlannerConfig) -> float:
-    """Admissible bound: each PoI revealed by its nearest robot, no queuing.
-
-    accrued + K * sum_l P(l) * (min_r travel_time(r, l) + need(l))
-    never exceeds the true cost of any completion from this state, where
-    need(l) is the least inspection time any robot still needs at l.
-    """
-    if state.n_pois == 0:
-        return accrued
-    tt = _travel_matrix(state.robot_xy, state.robot_speeds, state.poi_xy)
-    mind = tt.min(axis=0)
-    need = np.array(_least_need(state.inspect_times.tolist(), *_progress(state)))
-    return accrued + config.cost_rate * float((state.likelihoods * (mind + need)).sum())
 
 
 def _claim_nearest(
@@ -487,11 +469,6 @@ def _tail(
         g = claim[winner]
         del pids[g], xs[g], ys[g], insp[g], lik[g]
     return math.inf
-
-
-def rollout_estimate(state: PlanningState, config: PlannerConfig) -> float:
-    """Upper-bound completion cost from the state via the greedy policy."""
-    return _tail(*_scalars(state), config.cost_rate, 0.0, math.inf)
 
 
 # --- depth-first branch and bound ---------------------------------------------
@@ -943,24 +920,6 @@ def _search(
     return best_cost, best_tuple
 
 
-def expected_cost(
-    state: PlanningState,
-    config: PlannerConfig,
-    node_log: Optional[List[NodeRecord]] = None,
-) -> Tuple[float, JointAction]:
-    """Optimal depth-capped expected cost and its first joint action.
-
-    Exact minimum over assignment/reveal sequences whenever
-    len(remaining) <= depth_cap; ties go to the first enumerated action.
-    """
-    config.validate()
-    if state.n_pois == 0:
-        raise ValueError("empty remaining set")
-    stats = _SearchStats()
-    cost, targets = _search(state, config, stats, node_log)
-    return float(cost), JointAction(targets)
-
-
 def select_priority_subset(state: PlanningState, config: PlannerConfig) -> Tuple[int, ...]:
     """Priority PoIs: top n_top_prob likelihoods, then nearest-per-robot fill.
 
@@ -1006,6 +965,27 @@ def plan_detailed(
     config: PlannerConfig,
     node_log: Optional[List[NodeRecord]] = None,
 ) -> PlanResult:
+    """The planner's search: best first joint action and what it cost.
+
+    The state is first cut to `select_priority_subset`; subset_ids holds
+    the PoI ids searched, which are all of state.poi_ids whenever the
+    state has at most n_priority PoIs.  cost is the minimum expected
+    cost over assignment/reveal sequences on that subset, with a greedy
+    tail after depth_cap reveals, and action is the first joint action
+    of the cheapest sequence (ties go to the lexicographically smallest
+    target tuple).  nodes_expanded counts the commitment and reveal
+    nodes the search entered, and children_pruned the children it cut
+    on their bound.  When node_log is given, the search appends a
+    NodeRecord for the root and for every state a reveal reaches before
+    the depth cap, the root first.
+
+    Pruning is exact only when no greedy tail runs, that is when
+    depth_cap is at least the number of PoIs searched.  Below the cap,
+    the commitment-aware bound assumes committed robots finish their
+    targets, while the tail re-claims the nearest PoI every segment, so
+    a leaf can cost less than its bound and pruning can change the
+    result.
+    """
     config.validate()
     if state.n_pois == 0:
         raise ValueError("empty remaining set")

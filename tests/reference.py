@@ -1,5 +1,6 @@
 """Independent reference implementations checked against the library,
-and the exhaustive joint-action enumeration the tests compare with.
+and the exhaustive joint-action enumeration and the nearest-robot
+completion bound the tests compare with.
 
 Everything here is deliberately naive pure python: exhaustive
 enumeration instead of branch and bound, scalar loops instead of
@@ -137,6 +138,31 @@ def route_space_optimum(pois, robots, k=1.0, cap=None, progress=None):
     rec({p[0]: None for p in sorted(pois)}, [list(r) for r in robots], [None] * n_rob,
         [0.0] * n_rob, 0.0, 0, ())
     return best[0], best[1]
+
+
+def lower_bound(state, accrued, k=1.0):
+    """Completion bound on a PlanningState: each PoI revealed by its
+    nearest robot, with no queuing.
+
+    accrued + k * sum_l P(l) * (min_r travel(r, l) + need(l)), where
+    need(l) is the least inspection time any robot still needs at l:
+    the remaining time of a robot committed to it, else the full
+    inspect time.  No completion from the state costs less.
+    """
+    total = 0.0
+    for j, pid in enumerate(state.poi_ids):
+        px, py = state.poi_xy[j].tolist()
+        nearest = math.inf
+        for (x, y), v in zip(state.robot_xy.tolist(), state.robot_speeds.tolist()):
+            dx = x - px
+            dy = y - py
+            nearest = min(nearest, math.sqrt(dx * dx + dy * dy) / v)
+        need = float(state.inspect_times[j])
+        for t, q in zip(state.robot_targets, state.robot_remaining):
+            if t == pid:
+                need = min(need, q)
+        total += float(state.likelihoods[j]) * (nearest + need)
+    return accrued + k * total
 
 
 def _assignments(n, n_robots):

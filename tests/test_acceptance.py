@@ -156,9 +156,10 @@ def test_criterion_03_two_poi_instance_is_analytic(capsys):
         [m.RobotState(0, 0.0, 0.0, 1.0)],
     )
     cfg = m.PlannerConfig(depth_cap=6, n_priority=12, n_top_prob=6)
-    cost, action = m.expected_cost(state, cfg)
+    res = m.plan_detailed(state, cfg)
+    cost, action = res.cost, res.action
     err = abs(cost - 11.2)
-    ok = err <= 1e-12 and action.targets == (0,)
+    ok = res.subset_ids == state.poi_ids and err <= 1e-12 and action.targets == (0,)
     _finish(capsys, 3, ok,
             f"cost {cost!r} within {err:.1e} of 11.2 (tol 1e-12), "
             f"first target {action.targets}")
