@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .planner import JointAction, PlanningState, _claim_nearest, _travel_matrix
 
@@ -32,6 +29,10 @@ def greedy_assign(state: PlanningState) -> JointAction:
     travel time.  Leftover robots (PoIs < robots) duplicate their
     nearest target in the set.
     """
+    # scipy.optimize costs about 0.5 s and 45 MB to import, and only this
+    # baseline uses it, so it is loaded on the first call.
+    from scipy.optimize import linear_sum_assignment
+
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
     n, n_rob = state.n_pois, state.n_robots

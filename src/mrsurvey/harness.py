@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 from .estimator import resolve_likelihoods
 from .planner import PlannerConfig
 from .scenario import GenerativeParams, generate_scenario
-from .simulator import MissionConfig, MissionTrace, replay_check, run_mission
+from .simulator import MissionConfig, replay_check, run_mission
 
 DEFAULT_PLANNERS = ("model", "optimistic", "greedy")
 

@@ -34,9 +34,7 @@ import numpy as np
 from . import baselines
 from .estimator import clamp_for_planner, resolve_likelihoods
 from .planner import (
-    JointAction,
     PlannerConfig,
-    PlanningState,
     RobotState,
     action_outcome,
     make_state,

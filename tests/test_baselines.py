@@ -1,6 +1,11 @@
 """Tests for the nearest-PoI and likelihood-greedy comparison planners."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -141,3 +146,28 @@ class TestValidity:
                     assert len(set(targets)) == len(targets)
                 else:
                     assert set(targets) == set(st.poi_ids)
+
+
+class TestImportFootprint:
+    def test_scipy_loads_only_for_the_greedy_baseline(self):
+        # A fresh interpreter: the test process itself has scipy loaded.
+        child = textwrap.dedent("""
+            import json, sys
+            import mrsurvey as m
+            world = m.generate_scenario(3, 12)
+            for planner in ("model", "optimistic"):
+                m.run_mission(world, m.MissionConfig(planner=planner, n_robots=3, seed=3))
+            before = "scipy.optimize" in sys.modules
+            trace = m.run_mission(world, m.MissionConfig(planner="greedy", n_robots=3, seed=3))
+            print(json.dumps({
+                "before_greedy": before,
+                "after_greedy": "scipy.optimize" in sys.modules,
+                "replay": m.replay_check(trace, world).reasons,
+            }))
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report == {"before_greedy": False, "after_greedy": True, "replay": []}

@@ -24,7 +24,6 @@ from mrsurvey.scenario import (
     PoI,
     Scenario,
     WindPocket,
-    damage_probability,
     generate_scenario,
 )
 

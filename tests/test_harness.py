@@ -1,7 +1,6 @@
 """Tests for the batch experiment driver and its output files."""
 
 import json
-import math
 import statistics
 
 import pytest

@@ -1,7 +1,6 @@
 """Tests for the joint-action planning engine."""
 
 import functools
-import itertools
 import math
 import random
 

@@ -4,7 +4,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 
 from mrsurvey.scenario import (

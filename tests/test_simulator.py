@@ -8,7 +8,7 @@ import pytest
 
 import mrsurvey as m
 from mrsurvey import simulator as sim
-from mrsurvey.scenario import GenerativeParams, PoI, Scenario, WindPocket
+from mrsurvey.scenario import GenerativeParams, PoI, Scenario
 from mrsurvey.simulator import MissionConfig, load_trace, replay_check, run_mission, write_trace
 
 import reference
