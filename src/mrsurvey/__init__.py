@@ -30,7 +30,6 @@ from .planner import (
     plan,
     plan_detailed,
     select_priority_subset,
-    travel_time,
 )
 from .scenario import (
     GenerativeParams,

@@ -8,6 +8,7 @@ flags override the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,19 +20,24 @@ from .planner import PlannerConfig
 from .scenario import build_graph, generate_scenario, load_scenario, write_graph, write_scenario
 from .simulator import MissionConfig, replay_check, run_mission, write_trace
 
+# Flag defaults come from the dataclasses, so the command line always
+# runs what ExperimentSpec() and PlannerConfig() describe.
+_SPEC = ExperimentSpec()
+_PLANNER = _SPEC.planner_config
+
 DEFAULTS = {
-    "n_pois": (12,),
-    "n_robots": (1, 3, 5),
-    "n_trials": 100,
-    "seed": 0,
-    "planner": ("model", "optimistic", "greedy"),
-    "estimator": "oracle",
-    "depth_cap": 4,
-    "n_priority": 12,
-    "cost_rate": 1.0,
-    "speed": 1.0,
+    "n_pois": _SPEC.n_pois,
+    "n_robots": _SPEC.n_robots,
+    "n_trials": _SPEC.n_trials,
+    "seed": _SPEC.seed_base,
+    "planner": _SPEC.planners,
+    "estimator": _SPEC.estimator,
+    "depth_cap": _PLANNER.depth_cap,
+    "n_priority": _PLANNER.n_priority,
+    "cost_rate": _PLANNER.cost_rate,
+    "speed": _SPEC.speed,
     "out_dir": "out",
-    "parallelism": 1,
+    "parallelism": _SPEC.parallelism,
     "scenario": None,
 }
 
@@ -104,11 +110,27 @@ def _effective(args: argparse.Namespace) -> Dict:
 
 def _planner_config(eff: Dict) -> PlannerConfig:
     n_priority = int(eff["n_priority"])
-    return PlannerConfig(
+    return dataclasses.replace(
+        _PLANNER,
         depth_cap=int(eff["depth_cap"]),
         n_priority=n_priority,
-        n_top_prob=min(6, n_priority),
+        n_top_prob=min(_PLANNER.n_top_prob, n_priority),
         cost_rate=float(eff["cost_rate"]),
+    )
+
+
+def _experiment_spec(eff: Dict) -> ExperimentSpec:
+    return dataclasses.replace(
+        _SPEC,
+        n_trials=int(eff["n_trials"]),
+        n_pois=eff["n_pois"],
+        n_robots=eff["n_robots"],
+        seed_base=int(eff["seed"]),
+        planners=eff["planner"],
+        estimator=eff["estimator"],
+        planner_config=_planner_config(eff),
+        speed=float(eff["speed"]),
+        parallelism=int(eff["parallelism"]),
     )
 
 
@@ -146,17 +168,7 @@ def _cmd_fit(eff: Dict) -> int:
 
 
 def _cmd_run(eff: Dict) -> int:
-    spec = ExperimentSpec(
-        n_trials=int(eff["n_trials"]),
-        n_pois=eff["n_pois"],
-        n_robots=eff["n_robots"],
-        seed_base=int(eff["seed"]),
-        planners=eff["planner"],
-        estimator=eff["estimator"],
-        planner_config=_planner_config(eff),
-        speed=float(eff["speed"]),
-        parallelism=int(eff["parallelism"]),
-    )
+    spec = _experiment_spec(eff)
     report = run_experiment(spec)
     written = emit_outputs(report, eff["out_dir"])
     for n_p in spec.n_pois:

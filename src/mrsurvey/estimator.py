@@ -289,7 +289,8 @@ def resolve_likelihoods(scenario: Scenario, choice: str) -> Dict[int, float]:
 
     Choices: "oracle", "fitted:<params.json>", or "external:<map.json>"
     where the external file is either {seed: {poi_id: prob}} covering
-    several scenarios or a flat {poi_id: prob} object.
+    several scenarios or a flat {poi_id: prob} object; each of the
+    scenario's PoIs needs a value in [0, 1].
     """
     if choice == "oracle":
         return oracle_likelihoods(scenario)
@@ -307,5 +308,8 @@ def resolve_likelihoods(scenario: Scenario, choice: str) -> Dict[int, float]:
         missing = [poi.id for poi in scenario.pois if poi.id not in probs]
         if missing:
             raise KeyError(f"external likelihoods missing PoI ids {missing}")
+        outside = [poi.id for poi in scenario.pois if not 0.0 <= probs[poi.id] <= 1.0]
+        if outside:
+            raise ValueError(f"external likelihoods of PoI ids {outside} are not in [0, 1]")
         return {poi.id: probs[poi.id] for poi in scenario.pois}
     raise ValueError(f"unknown estimator choice {choice!r}")

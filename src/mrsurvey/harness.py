@@ -18,9 +18,7 @@ from typing import Dict, List, Tuple
 from .estimator import resolve_likelihoods
 from .planner import PlannerConfig
 from .scenario import GenerativeParams, generate_scenario
-from .simulator import MissionConfig, replay_check, run_mission
-
-DEFAULT_PLANNERS = ("model", "optimistic", "greedy")
+from .simulator import PLANNER_NAMES, MissionConfig, replay_check, run_mission
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,7 @@ class ExperimentSpec:
     n_pois: Tuple[int, ...] = (12,)
     n_robots: Tuple[int, ...] = (1, 3, 5)
     seed_base: int = 0
-    planners: Tuple[str, ...] = DEFAULT_PLANNERS
+    planners: Tuple[str, ...] = PLANNER_NAMES
     estimator: str = "oracle"
     planner_config: PlannerConfig = field(default_factory=PlannerConfig)
     speed: float = 1.0
@@ -52,9 +50,7 @@ class MissionOutcome:
     cost: float
     total_time: float
     total_distance: float
-    planning_calls: int
     planning_wall_median: float
-    planning_wall_total: float
     curve: Tuple[Tuple[float, float, float, float, int], ...]
     replay_ok: bool
     replay_reasons: Tuple[str, ...]
@@ -109,9 +105,7 @@ def _run_trial(
             cost=trace.total_realized_cost,
             total_time=trace.total_time,
             total_distance=trace.total_distance,
-            planning_calls=trace.planning_calls.count,
             planning_wall_median=trace.planning_calls.median_wall,
-            planning_wall_total=trace.planning_calls.total_wall,
             curve=curve,
             replay_ok=result.ok,
             replay_reasons=tuple(result.reasons),

@@ -15,8 +15,9 @@ simulator's `action_outcome`, the search and its greedy tail all fly it.
 The search is depth-first branch and bound over assignment/reveal
 sequences: robots commit to targets one at a time in robot-index order,
 each reveal frees the finishing robot to re-commit from its interpolated
-position, and partial commitments are pruned with an admissible
-completion bound that respects in-flight targets and inspection
+position, and partial commitments are pruned with one admissible
+completion bound, the chain bound, which charges each PoI its earliest
+possible arrival and respects in-flight targets and inspection
 progress.  Depth counts reveals; at depth_cap a greedy nearest-PoI
 rollout completes the value, with the same nearest claim
 (`_claim_nearest`) as the optimistic baseline.  That tail stops as soon
@@ -28,8 +29,7 @@ to a priority subset (top likelihoods plus nearest-per-robot fill).
 
 Each travel time is computed once: the nearest claim and the search's
 travel rows hand theirs to `_step`.  Nodes that share a remaining PoI
-set share its pair distances and the nearest-neighbour distances of the
-serialization bound, which a reveal updates instead of recomputing.
+set share its pair distances.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def make_state(
         raise ValueError("non-finite PoI position")
     if np.any(insp < 0.0) or not np.all(np.isfinite(insp)):
         raise ValueError("inspect times must be finite and >= 0")
-    if np.any(lik < 0.0) or np.any(lik > 1.0):
+    if not np.all((lik >= 0.0) & (lik <= 1.0)):
         raise ValueError("likelihoods must lie in [0, 1]")
     if not robots:
         raise ValueError("at least one robot required")
@@ -208,7 +208,12 @@ class NodeRecord:
 
     robot_targets and robot_remaining carry the commitments that persist
     at the node (None and 0.0 for free robots), with the inspection time
-    each committed robot still needs at its target.
+    each committed robot still needs at its target.  bound is the
+    position-only chain bound: accrued plus cost_rate times the sum over
+    PoIs of likelihood times (earliest straight-line arrival plus the
+    least inspection time any robot still needs there).  That is the
+    bound the search prunes with wherever no greedy tail runs, and not
+    the commitment-aware form it may prune with where one does.
     """
 
     poi_ids: Tuple[int, ...]
@@ -218,17 +223,6 @@ class NodeRecord:
     robot_remaining: Tuple[float, ...]
     accrued: float
     bound: float
-
-
-def travel_time(a: Tuple[float, float], b: Tuple[float, float], speed: float) -> float:
-    """Straight-line travel time from a to b at the given speed."""
-    if not (math.isfinite(a[0]) and math.isfinite(a[1]) and math.isfinite(b[0]) and math.isfinite(b[1])):
-        raise ValueError("non-finite position")
-    if not math.isfinite(speed) or speed <= 0.0:
-        raise ValueError(f"speed must be finite and > 0, got {speed}")
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return math.sqrt(dx * dx + dy * dy) / speed
 
 
 # --- single-action dynamics --------------------------------------------------
@@ -539,21 +533,15 @@ def _search(
     below the root, commitments persist with their progress until their
     PoI is revealed.
 
-    Pruning takes the larger of two admissible completion bounds, both
-    charging each PoI the least inspection time any robot still needs
-    there.  The chain bound charges each remaining PoI its earliest
-    possible arrival: committed robots must finish their target first,
-    free robots travel straight.  Commitment-aware arrivals are only
-    valid while targets stay singly claimed, so that bound falls back to
-    the position-only form whenever duplicate claims could occur below
-    the node.  The serialization bound orders reveals instead: the
-    team's j-th reveal cannot precede the j-th smallest completion slot,
-    where each robot offers slots starting at its earliest finish and
-    stepping by its cheapest hop (pair distance plus inspection); pairing
-    the largest likelihoods with the smallest slots bounds the weighted
-    sum from below.  The state lives in plain python lists because
-    segments are tiny and interpreter arithmetic beats array dispatch
-    here.
+    Pruning uses one admissible completion bound, the chain bound: each
+    remaining PoI is charged its earliest possible arrival plus the
+    least inspection time any robot still needs there.  Committed robots
+    must finish their target first, free robots travel straight.
+    Commitment-aware arrivals are only valid while targets stay singly
+    claimed, so the bound falls back to the position-only form whenever
+    duplicate claims could occur below the node.  The state lives in
+    plain python lists because segments are tiny and interpreter
+    arithmetic beats array dispatch here.
     """
     n, n_rob = state.n_pois, state.n_robots
     k_rate = config.cost_rate
@@ -579,39 +567,22 @@ def _search(
             rowp[q] = d
             dpp0[q][p] = d
 
-    speeds = list(dict.fromkeys(spd0))
-
-    def nearest(dpp_s, q):
-        # PoI q's least distance to another remaining PoI (inf if none).
-        row = dpp_s[q]
-        return min(row[:q] + row[q + 1:], default=math.inf)
-
-    def layout(pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, nn_s):
+    def layout(pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s):
         # What every node with this remaining set shares: the PoI lists,
-        # the pair distances, each PoI's nearest-neighbour distance and
-        # the likelihoods sorted high to low (both for the floor), and
-        # the likelihood sum.
+        # the pair distances and the likelihood sum.
         psum = 0.0
         for p in lik_s:
             psum += p
-        pdesc = sorted(lik_s, reverse=True) if do_prune else None
-        return (pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, nn_s, pdesc, psum)
+        return (pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, psum)
 
     def reveal(lay, g):
-        # The layout without row g.  A nearest-neighbour distance changes
-        # only where g could have been the nearest neighbour.
-        pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, nn_s = lay[:7]
+        # The layout without row g.
+        pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, _ = lay
         dpp2 = dpp_s[:g] + dpp_s[g + 1:]
         for i, row in enumerate(dpp2):
             row = row[:]
             del row[g]
             dpp2[i] = row
-        nn2 = None
-        if nn_s is not None:
-            nn2 = []
-            for q, (d, m) in enumerate(zip(dpp_s[g], nn_s)):
-                if q != g:
-                    nn2.append(nearest(dpp2, len(nn2)) if d == m else m)
         return layout(
             pids_s[:g] + pids_s[g + 1:],
             xs_s[:g] + xs_s[g + 1:],
@@ -619,54 +590,15 @@ def _search(
             insp_s[:g] + insp_s[g + 1:],
             lik_s[:g] + lik_s[g + 1:],
             dpp2,
-            nn2,
         )
-
-    def floor_term(need_s, nn_s, pdesc, trow_s):
-        # Serialization floor on the completion term: slots per robot
-        # start at its earliest finish and step by its cheapest hop,
-        # which depends on the robot only through its speed.  Each
-        # robot's slots ascend, so merging them yields the smallest ones
-        # in order without listing and sorting them all.
-        hops = {}
-        for v in speeds:
-            h = math.inf
-            for d, q in zip(nn_s, need_s):
-                c = d / v + q
-                if c < h:
-                    h = c
-            hops[v] = h
-        slot = []
-        step = []
-        for r in rng_rob:
-            m = math.inf
-            for f, q in zip(trow_s[r], need_s):
-                f += q
-                if f < m:
-                    m = f
-            slot.append(m)
-            step.append(hops[spd0[r]])
-        t = 0.0
-        for p in pdesc:
-            k = 0
-            s = slot[0]
-            for r in rng_rob:
-                if slot[r] < s:
-                    s = slot[r]
-                    k = r
-            t += p * s
-            slot[k] = s + step[k]
-        return t
 
     def make_seg(lay, need_s, trow_s):
         # A node's segment: its layout and travel rows, the inspection
-        # term, the floor, and the child layouts its reveals share.
-        _, _, _, _, lik_s, _, nn_s, pdesc, _ = lay
+        # term, and the child layouts its reveals share.
         sum_ir = 0.0
-        for p, q in zip(lik_s, need_s):
+        for p, q in zip(lay[4], need_s):
             sum_ir += p * q
-        floor = floor_term(need_s, nn_s, pdesc, trow_s) if do_prune else 0.0
-        return (lay, trow_s, sum_ir, floor, {})
+        return (lay, trow_s, sum_ir, {})
 
     def log_node(pids_s, lik_s, need_s, trow_s, rx, ry, targ, rem, acc):
         s = 0.0
@@ -684,18 +616,13 @@ def _search(
             )
         )
 
-    def settle(acc, s, sum_ir, floor):
-        # Arrival term s plus the least inspection needs, and the whole
-        # completion term no less than the serialization floor.
-        t = sum_ir + s
-        return acc + k_rate * (floor if t < floor else t)
-
-    def chain_bound(acc, rows, lik_s, sum_ir, floor):
-        # Each PoI charged its earliest arrival over the robot rows.
+    def chain_bound(acc, rows, lik_s, sum_ir):
+        # Each PoI charged its earliest arrival over the robot rows, plus
+        # the least inspection needs (sum_ir).
         s = 0.0
         for p, m in zip(lik_s, _column_min(rows, len(lik_s))):
             s += p * m
-        return settle(acc, s, sum_ir, floor)
+        return acc + k_rate * (sum_ir + s)
 
     def beaten(b):
         # Rounding can push the bound a few ulps past the true subtree
@@ -714,8 +641,8 @@ def _search(
             best_tuple = root_tuple
 
     def assign(seg, targ, rem, prx, pry, arr, accrued, reveals, prefix):
-        lay, trow_s, sum_ir, floor, _ = seg
-        pids_s, _, _, insp_s, lik_s, dpp_s, _, _, _ = lay
+        lay, trow_s, sum_ir, _ = seg
+        pids_s, _, _, insp_s, lik_s, dpp_s, _ = lay
         na = len(pids_s)
         j = -1
         for r in rng_rob:
@@ -798,9 +725,9 @@ def _search(
                         f = fin + dc[l] / vj
                         o = om[l]
                         s += lik_s[l] * (o if o < f else f)
-                    bnds.append(settle(accrued, s, sum_ir, floor))
+                    bnds.append(accrued + k_rate * (sum_ir + s))
             else:
-                bnds = [chain_bound(accrued, trow_s, lik_s, sum_ir, floor)] * len(choices)
+                bnds = [chain_bound(accrued, trow_s, lik_s, sum_ir)] * len(choices)
             seq = sorted(range(len(choices)), key=bnds.__getitem__)
         else:
             bnds = None
@@ -838,8 +765,8 @@ def _search(
             targ[j] = -1
 
     def advance(seg, targ, rem, prx, pry, accrued, reveals, prefix):
-        lay, trow_s, _, _, kids = seg
-        pids_s, xs_s, ys_s, insp_s, lik_s, _, _, _, psum = lay
+        lay, trow_s, _, kids = seg
+        pids_s, xs_s, ys_s, insp_s, lik_s, _, psum = lay
         stats.nodes_expanded += 1
 
         # Survivors keep their targets, re-indexed past the revealed PoI.
@@ -897,7 +824,7 @@ def _search(
             rl2 = cap - reveals2
             if rl2 > a2:
                 rl2 = a2
-            nb = chain_bound(acc2, arr2 if a2 - rl2 >= n_rob else trow2, lik2, seg2[2], seg2[3])
+            nb = chain_bound(acc2, arr2 if a2 - rl2 >= n_rob else trow2, lik2, seg2[2])
             if beaten(nb):
                 return
             if nb == best_cost and nb == acc2 and best_tuple is not None and prefix >= best_tuple:
@@ -909,8 +836,7 @@ def _search(
     need0 = _least_need(insp0, tgt0, rem0)
     if node_log is not None:
         log_node(pids0, lik0, need0, trow0, rx0, ry0, tgt0, rem0, 0.0)
-    nn0 = [nearest(dpp0, q) for q in range(n)] if do_prune else None
-    seg0 = make_seg(layout(pids0, xs0, ys0, insp0, lik0, dpp0, nn0), need0, trow0)
+    seg0 = make_seg(layout(pids0, xs0, ys0, insp0, lik0, dpp0), need0, trow0)
 
     # No incumbent seeding: children are visited in bound order, so the
     # first descent already lands on a realized route and every later

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from mrsurvey import cli
+from mrsurvey.harness import ExperimentSpec
+from mrsurvey.planner import PlannerConfig
 from mrsurvey.scenario import load_scenario
 from mrsurvey.simulator import load_trace
 
@@ -89,6 +91,11 @@ class TestConfigFile:
                        "--out-dir", str(out_b)])
         assert rc == 0
         assert len(load_scenario(str(out_b / "scenario_000021.json")).pois) == 3
+
+    def test_no_flags_run_the_dataclass_defaults(self):
+        eff = cli._effective(cli._build_parser().parse_args(["run"]))
+        assert cli._planner_config(eff) == PlannerConfig()
+        assert cli._experiment_spec(eff) == ExperimentSpec()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -252,6 +252,14 @@ class TestPlumbing:
         with pytest.raises(KeyError):
             resolve_likelihoods(scen, f"external:{bad}")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, -0.25])
+    def test_resolve_external_value_outside_unit_interval_rejected(self, tmp_path, value):
+        scen = generate_scenario(5, 3)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({str(p.id): 0.5 for p in scen.pois} | {str(scen.pois[1].id): value}))
+        with pytest.raises(ValueError):
+            resolve_likelihoods(scen, f"external:{bad}")
+
     def test_unknown_choice_rejected(self):
         scen = generate_scenario(5, 3)
         with pytest.raises(ValueError):

@@ -74,25 +74,6 @@ def _two_poi_instance():
     )
 
 
-class TestTravelTime:
-    def test_three_four_five(self):
-        assert m.travel_time((0.0, 0.0), (3.0, 4.0), 1.0) == 5.0
-
-    def test_zero_distance(self):
-        assert m.travel_time((2.0, 2.0), (2.0, 2.0), 3.0) == 0.0
-
-    def test_speed_divides(self):
-        assert m.travel_time((0.0, 0.0), (10.0, 0.0), 2.0) == 5.0
-
-    def test_rejects_bad_speed_and_positions(self):
-        with pytest.raises(ValueError):
-            m.travel_time((0.0, 0.0), (1.0, 0.0), 0.0)
-        with pytest.raises(ValueError):
-            m.travel_time((0.0, 0.0), (1.0, 0.0), -2.0)
-        with pytest.raises(ValueError):
-            m.travel_time((math.nan, 0.0), (1.0, 0.0), 1.0)
-
-
 class TestMakeState:
     def test_rows_sorted_by_id(self):
         st = m.make_state([(5, 1.0, 0.0, 0.0, 0.2), (2, 0.0, 1.0, 0.0, 0.8)],
@@ -108,6 +89,8 @@ class TestMakeState:
             m.make_state([(0, 0.0, 0.0, -1.0, 0.5)], rob)
         with pytest.raises(ValueError):
             m.make_state([(0, 0.0, 0.0, 0.0, 1.5)], rob)
+        with pytest.raises(ValueError):
+            m.make_state([(0, 0.0, 0.0, 0.0, math.nan)], rob)
         with pytest.raises(ValueError):
             m.make_state([(0, 0.0, 0.0, 0.0, 0.5)], [])
         with pytest.raises(ValueError):
@@ -592,14 +575,15 @@ class TestPlanAndPruning:
     def test_pruning_leaves_results_unchanged(self):
         rng = random.Random(8888)
         prog_rng = random.Random(3141)
-        cfg_on = m.PlannerConfig(depth_cap=6, n_priority=12, n_top_prob=6, prune=True)
-        cfg_off = m.PlannerConfig(depth_cap=6, n_priority=12, n_top_prob=6, prune=False)
         for trial in range(60):
             pois, robots = reference.random_small_instance(rng)
+            # Every third trial caps the depth below its PoI count, so a
+            # greedy tail runs; the others search whole.
+            cap = 6
             if trial % 3 == 0 and len(pois) > 1:
                 cap = rng.randint(1, len(pois) - 1)
-                cfg_on = m.PlannerConfig(depth_cap=cap, prune=True)
-                cfg_off = m.PlannerConfig(depth_cap=cap, prune=False)
+            cfg_on = m.PlannerConfig(depth_cap=cap, prune=True)
+            cfg_off = m.PlannerConfig(depth_cap=cap, prune=False)
             progress = None
             if trial % 2:
                 robots, progress = _with_progress(prog_rng, pois, robots)
@@ -667,13 +651,13 @@ def _pinned_state(seed, n_pois, n_robots, steps):
 
 # seed, PoIs, robots, reveals flown, prune -> action, cost, nodes, pruned
 PINNED_SEARCHES = [
-    (1, 9, 1, 0, True, (1,), 2174.5516289825173, 157, 237),
-    (2, 9, 1, 2, True, (2,), 1413.8195250769793, 32, 37),
+    (1, 9, 1, 0, True, (1,), 2174.5516289825173, 200, 418),
+    (2, 9, 1, 2, True, (2,), 1413.8195250769793, 37, 58),
     (3, 10, 3, 0, True, (0, 3, 8), 987.6256920215747, 252, 590),
     (4, 10, 3, 2, True, (0, 5, 2), 703.5133073529119, 65, 170),
     (5, 9, 5, 0, True, (3, 0, 2, 8, 4), 578.8550775396969, 1059, 1066),
     (6, 10, 5, 3, True, (6, 7, 0, 1, 9), 242.69746287023082, 4617, 0),
-    (7, 20, 3, 0, True, (3, 7, 13), 921.9498842184298, 7563, 14905),
+    (7, 20, 3, 0, True, (3, 7, 13), 921.9498842184298, 7606, 15208),
     (8, 20, 3, 4, True, (19, 6, 11), 664.6534063637775, 1714, 5720),
     (9, 6, 1, 1, False, (3,), 358.14316416550355, 291, 0),
     (10, 6, 3, 2, False, (4, 0, 2), 52.936247228453325, 286, 0),
