@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from typing import List, Tuple
 
-from .planner import JointAction, PlanningState, _claim_nearest, _travel_matrix
+from .planner import JointAction, PlanningState, _claim_nearest
 
 
 def optimistic_assign(state: PlanningState) -> JointAction:
@@ -26,27 +27,114 @@ def greedy_assign(state: PlanningState) -> JointAction:
 
     The top min(n_robots, n_pois) PoIs by likelihood (ties to the lower
     id) form the target set; robots are matched to it minimizing total
-    travel time.  Leftover robots (PoIs < robots) duplicate their
-    nearest target in the set.
+    travel time.  Among matchings of equal total, the pick is the one
+    `scipy.optimize.linear_sum_assignment` returns (see
+    `_min_cost_matching`).  Leftover robots (PoIs < robots) duplicate
+    their nearest target in the set, ties to the higher-likelihood one.
     """
-    # scipy.optimize costs about 0.5 s and 45 MB to import, and only this
-    # baseline uses it, so it is loaded on the first call.
-    from scipy.optimize import linear_sum_assignment
-
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
-    n, n_rob = state.n_pois, state.n_robots
-    k = min(n_rob, n)
-    by_prob = sorted(range(n), key=lambda j: (-state.likelihoods[j], state.poi_ids[j]))
-    chosen = by_prob[:k]
+    ids = state.poi_ids
+    lik = state.likelihoods.tolist()
+    xs, ys = state.poi_xy.T.tolist()
+    rx, ry = state.robot_xy.T.tolist()
+    speeds = state.robot_speeds.tolist()
+    chosen = sorted(range(len(ids)), key=lambda j: (-lik[j], ids[j]))[: min(len(speeds), len(ids))]
 
-    tt = _travel_matrix(state.robot_xy, state.robot_speeds, state.poi_xy)
-    cost = tt[:, chosen]
-    rows, cols = linear_sum_assignment(cost)
-    targets = np.full(n_rob, -1, dtype=np.int64)
-    for r, c in zip(rows, cols):
+    cost = []
+    for x, y, v in zip(rx, ry, speeds):
+        row = []
+        for j in chosen:
+            dx = x - xs[j]
+            dy = y - ys[j]
+            row.append(math.sqrt(dx * dx + dy * dy) / v)
+        cost.append(row)
+    targets = [-1] * len(speeds)
+    for r, c in zip(*_min_cost_matching(cost)):
         targets[r] = chosen[c]
-    for r in range(n_rob):
+    for r, row in enumerate(cost):
         if targets[r] < 0:
-            targets[r] = chosen[int(cost[r].argmin())]
-    return JointAction(tuple(int(state.poi_ids[j]) for j in targets))
+            targets[r] = chosen[row.index(min(row))]
+    return JointAction(tuple(ids[j] for j in targets))
+
+
+def _min_cost_matching(cost: List[List[float]]) -> Tuple[List[int], List[int]]:
+    """(rows, cols) of a minimum-total matching of a cost matrix's rows to
+    its columns, every row of a wide matrix matched and every column of a
+    tall one; rows are ascending.
+
+    A port of `scipy.optimize.linear_sum_assignment`, Crouse's shortest
+    augmenting path (D. F. Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016), kept operation for operation
+    so that ties break the same way:
+    - each row's search scans the columns not yet on its path from the
+      last to the first, and a scanned column leaves that list by swap
+      with the last;
+    - of the columns sharing the lowest path cost, the last one scanned
+      that is unassigned wins, else the first one scanned;
+    - a tall matrix is solved transposed.
+    """
+    if not cost or not cost[0]:
+        return [], []
+    transpose = len(cost[0]) < len(cost)
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+    nr, nc = len(cost), len(cost[0])
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        spc = [inf] * nc
+        visited_rows = []
+        visited_cols = [False] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        min_val = 0.0
+        i = cur
+        sink = -1
+        while sink < 0:
+            visited_rows.append(i)
+            row, ui = cost[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest = s
+                    index = it
+            if lowest == inf:
+                raise ValueError("cost matrix is infeasible")
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur] += min_val
+        for i in visited_rows:
+            if i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if visited_cols[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+
+    if transpose:
+        cols = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[c] for c in cols], cols
+    return list(range(nr)), col4row

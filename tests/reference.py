@@ -272,3 +272,39 @@ def nearest_neighbor_order(start, pois_xy):
         order.append(pid)
         pos = left.pop(pid)
     return order
+
+
+def scipy_greedy_assign(state):
+    """The greedy baseline as written on `scipy.optimize.linear_sum_assignment`
+    and numpy travel times, the oracle for the library's scalar port."""
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    from mrsurvey.planner import _travel_matrix
+
+    n, n_rob = state.n_pois, state.n_robots
+    k = min(n_rob, n)
+    by_prob = sorted(range(n), key=lambda j: (-state.likelihoods[j], state.poi_ids[j]))
+    chosen = by_prob[:k]
+
+    tt = _travel_matrix(state.robot_xy, state.robot_speeds, state.poi_xy)
+    cost = tt[:, chosen]
+    rows, cols = linear_sum_assignment(cost)
+    targets = np.full(n_rob, -1, dtype=np.int64)
+    for r, c in zip(rows, cols):
+        targets[r] = chosen[c]
+    for r in range(n_rob):
+        if targets[r] < 0:
+            targets[r] = chosen[int(cost[r].argmin())]
+    return JointAction(tuple(int(state.poi_ids[j]) for j in targets))
+
+
+def min_matching_total(cost):
+    """Least total of a matching that covers the shorter side of a cost
+    matrix (list of rows), by trying every injective map."""
+    nr, nc = len(cost), len(cost[0])
+    if nr <= nc:
+        return min(sum(cost[r][c] for r, c in enumerate(cols))
+                   for cols in itertools.permutations(range(nc), nr))
+    return min(sum(cost[r][c] for c, r in sorted(enumerate(rows), key=lambda p: p[1]))
+               for rows in itertools.permutations(range(nr), nc))

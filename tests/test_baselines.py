@@ -11,6 +11,7 @@ import textwrap
 import pytest
 
 import mrsurvey as m
+from mrsurvey.baselines import _min_cost_matching
 from mrsurvey.planner import _claim_nearest
 
 import reference
@@ -21,6 +22,25 @@ def _state_from(pois, robots):
         [(p[0], p[1], p[2], p[3], p[4]) for p in pois],
         [m.RobotState(i, r[0], r[1], r[2]) for i, r in enumerate(robots)],
     )
+
+
+COST_KINDS = ("integer", "uniform", "identical rows", "two-level")
+
+
+def _random_cost(rng, kind):
+    """A 1-6 x 1-6 cost matrix (list of rows) of one of COST_KINDS: small
+    integers, uniform reals, one row repeated (robots on one spot), or
+    two values only.  All but the uniform kind tie on most draws."""
+    nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+    if kind == "integer":
+        return [[float(rng.randint(0, 2)) for _ in range(nc)] for _ in range(nr)]
+    if kind == "uniform":
+        return [[rng.random() for _ in range(nc)] for _ in range(nr)]
+    if kind == "identical rows":
+        row = [rng.random() for _ in range(nc)]
+        return [list(row) for _ in range(nr)]
+    lo, hi = rng.random(), 1.0 + rng.random()
+    return [[rng.choice((lo, hi)) for _ in range(nc)] for _ in range(nr)]
 
 
 class TestOptimisticAssign:
@@ -134,6 +154,73 @@ class TestGreedyAssign:
         with pytest.raises(ValueError):
             m.greedy_assign(st)
 
+    def test_matches_the_scipy_greedy(self):
+        # Integer grid positions, few speeds and few likelihood values make
+        # exact ties common, in the target set and in the matching.
+        rng = random.Random(47)
+        seen = {"colocated": 0, "tie": 0, "mixed speeds": 0, "fewer PoIs": 0}
+        for _ in range(3000):
+            n_rob = rng.randint(1, 7)
+            n = rng.randint(1, 6) if rng.random() < 0.25 else rng.randint(1, 36)
+            pois = [(pid, float(rng.randint(-4, 4)), float(rng.randint(-4, 4)), 30.0,
+                     rng.choice([0.25, 0.5, rng.random()]))
+                    for pid in rng.sample(range(60), n)]
+            robots = [[float(rng.randint(-4, 4)), float(rng.randint(-4, 4)),
+                       rng.choice([1.0, 1.0, 2.0, 0.5])] for _ in range(n_rob)]
+            if n_rob > 1 and rng.random() < 0.3:
+                robots = [robots[0][:2] + [r[2]] for r in robots]
+            st = _state_from(pois, robots)
+            assert m.greedy_assign(st) == reference.scipy_greedy_assign(st), (pois, robots)
+            chosen = sorted(pois, key=lambda p: (-p[4], p[0]))[:n_rob]
+            times = [[math.sqrt((x - p[1]) * (x - p[1]) + (y - p[2]) * (y - p[2])) / v for p in chosen]
+                     for x, y, v in robots]
+            seen["colocated"] += n_rob > 1 and len({(x, y) for x, y, _ in robots}) == 1
+            seen["tie"] += any(len(set(row)) < len(row) for row in times)
+            seen["mixed speeds"] += len({r[2] for r in robots}) > 1
+            seen["fewer PoIs"] += n < n_rob
+        assert min(seen.values()) >= 40, seen
+
+
+class TestMinCostMatching:
+    def test_matches_scipy_linear_sum_assignment(self):
+        # The port must return scipy's rows and columns, not just a
+        # matching of the same total: greedy_assign's targets depend on
+        # which of several optimal matchings comes back.
+        from scipy.optimize import linear_sum_assignment
+
+        rng = random.Random(61)
+        shapes = {"wide": 0, "tall": 0, "square": 0}
+        for t in range(20000):
+            cost = _random_cost(rng, COST_KINDS[t % 4])
+            rows, cols = linear_sum_assignment(cost)
+            assert _min_cost_matching(cost) == (rows.tolist(), cols.tolist()), cost
+            nr, nc = len(cost), len(cost[0])
+            shapes["wide" if nr < nc else "tall" if nr > nc else "square"] += 1
+        assert min(shapes.values()) >= 2000, shapes
+
+    def test_total_is_the_brute_force_minimum(self):
+        rng = random.Random(62)
+        for t in range(2000):
+            cost = _random_cost(rng, COST_KINDS[t % 4])
+            rows, cols = _min_cost_matching(cost)
+            assert rows == sorted(rows)
+            assert len(set(rows)) == len(set(cols)) == len(rows) == min(len(cost), len(cost[0]))
+            total = sum(cost[r][c] for r, c in zip(rows, cols))
+            assert math.isclose(total, reference.min_matching_total(cost), rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_small_cases_as_in_scipy(self):
+        # a constant matrix matches row i to column i (scipy issue 11602)
+        assert _min_cost_matching([[1.0] * 3 for _ in range(3)]) == ([0, 1, 2], [0, 1, 2])
+        # the last column scanned that is still free wins, and the scan
+        # runs from the last column to the first
+        assert _min_cost_matching([[0.0, 0.0, 0.0]]) == ([0], [0])
+        assert _min_cost_matching([[0.0], [0.0]]) == ([0], [0])
+        assert _min_cost_matching([[2.0, 1.0], [1.0, 2.0], [0.0, 0.0]]) == ([1, 2], [0, 1])
+        assert _min_cost_matching([]) == ([], [])
+        # no matching of finite total: scipy raises the same error
+        with pytest.raises(ValueError, match="infeasible"):
+            _min_cost_matching([[math.inf, 1.0], [math.inf, 2.0]])
+
 
 class TestValidity:
     def test_actions_are_valid_joint_actions(self):
@@ -152,25 +239,22 @@ class TestValidity:
 
 
 class TestImportFootprint:
-    def test_scipy_loads_only_for_the_greedy_baseline(self):
-        # A fresh interpreter: the test process itself has scipy loaded.
+    def test_missions_run_without_scipy(self):
+        # A fresh interpreter in which `import scipy` fails: the test
+        # process itself has scipy loaded, and no planner may need it.
         child = textwrap.dedent("""
             import json, sys
+            sys.modules["scipy"] = None
             import mrsurvey as m
             world = m.generate_scenario(3, 12)
-            for planner in ("model", "optimistic"):
-                m.run_mission(world, m.MissionConfig(planner=planner, n_robots=3, seed=3))
-            before = "scipy.optimize" in sys.modules
-            trace = m.run_mission(world, m.MissionConfig(planner="greedy", n_robots=3, seed=3))
-            print(json.dumps({
-                "before_greedy": before,
-                "after_greedy": "scipy.optimize" in sys.modules,
-                "replay": m.replay_check(trace, world).reasons,
-            }))
+            reasons = {}
+            for planner in ("model", "optimistic", "greedy"):
+                trace = m.run_mission(world, m.MissionConfig(planner=planner, n_robots=3, seed=3))
+                reasons[planner] = m.replay_check(trace, world).reasons
+            print(json.dumps(reasons))
         """)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report == {"before_greedy": False, "after_greedy": True, "replay": []}
+        assert json.loads(proc.stdout) == {"model": [], "optimistic": [], "greedy": []}

@@ -105,6 +105,27 @@ class TestInspectionProgress:
         assert [c.n_damaged_unreported for c in trace.cost_curve] == [1, 1, 0]
         assert replay_check(trace, scen).ok
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="optimistic_assign claims in robot index order, so a freed robot "
+                              "can take a PoI another robot is part-way through")
+    def test_optimistic_keeps_progress_when_a_freed_robot_is_nearer(self):
+        # Robot 0 takes PoI 0 (5 m east) and robot 1 PoI 1 (10 m west).
+        # PoI 0 is revealed at t=15, when robot 1 has inspected PoI 1 for
+        # 5 of its 30 seconds. PoI 1 is the freed robot 0's nearest PoI,
+        # but robot 1 should keep it and finish at 15 + 25 = 40, not lose
+        # its progress to robot 0 (which would reveal PoI 1 at 60).
+        scen = Scenario(
+            seed=0, params=GenerativeParams(), start=(0.0, 0.0),
+            pois=(PoI(id=0, x=5.0, y=0.0, poi_class="forest", inspect_time=10.0, damaged=False),
+                  PoI(id=1, x=-10.0, y=0.0, poi_class="forest", inspect_time=30.0, damaged=True),
+                  PoI(id=2, x=100.0, y=0.0, poi_class="forest", inspect_time=30.0, damaged=False)),
+            wind_pockets=(),
+        )
+        trace = run_mission(scen, MissionConfig(planner="optimistic", n_robots=2),
+                            likelihoods={0: 0.5, 1: 0.5, 2: 0.5})
+        assert replay_check(trace, scen).ok
+        assert trace.reveal_log[:2] == ((15.0, 0, False), (40.0, 1, True))
+
 
 # A shallow search keeps the model planner quick at 36 PoIs and 5 robots;
 # how the state is carried does not depend on the search depth.
