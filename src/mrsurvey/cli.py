@@ -148,11 +148,9 @@ def _cmd_generate(eff: Dict) -> int:
 
 
 def _cmd_fit(eff: Dict) -> int:
-    scenarios = [
-        generate_scenario(int(eff["seed"]) + i, eff["n_pois"][0])
-        for i in range(int(eff["n_trials"]))
-    ]
-    params = fit_estimator(scenarios)
+    # A generator: the fit reads one world at a time and keeps none.
+    seed, n_pois = int(eff["seed"]), eff["n_pois"][0]
+    params = fit_estimator(generate_scenario(seed + i, n_pois) for i in range(int(eff["n_trials"])))
     out_dir = eff["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "fitted_params.json")

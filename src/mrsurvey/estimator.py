@@ -17,8 +17,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -131,42 +132,63 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> Tuple[float, float]
 
 
 class _TrainingSet:
-    """Flattened (distances^2, class, damaged) arrays over all PoIs."""
+    """(distances^2, class, damaged) arrays over all PoIs of the training worlds.
 
-    def __init__(self, scenarios: Sequence[Scenario]):
-        max_pockets = max((len(s.wind_pockets) for s in scenarios), default=0)
-        d_sq_rows: List[List[float]] = []
-        class_idx: List[int] = []
-        damaged: List[bool] = []
+    Reads the worlds once, one at a time, and keeps only flat arrays, so
+    the caller may stream them.  Rows are padded with inf distances to
+    the widest pocket count.
+    """
+
+    def __init__(self, scenarios: Iterable[Scenario]):
+        flat_d_sq = array("d")
+        widths = array("q")
+        class_idx = array("q")
+        damaged = array("B")
         for s in scenarios:
             for poi in s.pois:
-                row = [
+                flat_d_sq.extend(
                     (poi.x - pk.x) ** 2 + (poi.y - pk.y) ** 2 for pk in s.wind_pockets
-                ]
-                row.extend([math.inf] * (max_pockets - len(row)))
-                d_sq_rows.append(row)
+                )
+                widths.append(len(s.wind_pockets))
                 class_idx.append(POI_CLASSES.index(poi.poi_class))
                 damaged.append(poi.damaged)
-        self.d_sq = np.asarray(d_sq_rows, dtype=float).reshape(len(d_sq_rows), max_pockets)
+        widths_np = np.asarray(widths, dtype=int)
+        max_pockets = int(widths_np.max(initial=0))
+        self.d_sq = np.full((len(widths_np), max_pockets), math.inf)
+        # A row-major boolean mask takes the flat values row by row.
+        self.d_sq[np.arange(max_pockets) < widths_np[:, None]] = np.asarray(flat_d_sq, dtype=float)
         self.class_idx = np.asarray(class_idx, dtype=int)
         self.damaged = np.asarray(damaged, dtype=bool)
+        self.hit, self.miss = _split(self.damaged)
         self.class_rows = [np.nonzero(self.class_idx == c)[0] for c in range(len(POI_CLASSES))]
+        self.class_split = [_split(self.damaged[rows]) for rows in self.class_rows]
 
     def gauss(self, sigma: float) -> np.ndarray:
         # exp(-inf) = 0 handles the padding columns.
+        g = np.negative(self.d_sq)
+        np.divide(g, 2.0 * sigma * sigma, out=g)
         with np.errstate(under="ignore"):
-            return np.exp(-self.d_sq / (2.0 * sigma * sigma))
+            return np.exp(g, out=g)
 
 
-def _log_no_damage(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _split(damaged: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices of the damaged and of the undamaged rows, each ascending."""
+    return np.flatnonzero(damaged), np.flatnonzero(~damaged)
+
+
+def _log_no_damage(g: np.ndarray, s) -> np.ndarray:
     """Per-row log P(no damage) = sum over pockets of log1p(-s * g).
 
+    s is one susceptibility per row, or a scalar shared by all rows.
     Below 8 pockets a row sum adds left to right from +0.0, so adding
     the columns one at a time gives the same bits, sign of zero included,
     without a per-row reduce.  From 8 on numpy sums pairwise, so the row
     sum is kept.
     """
-    terms = np.log1p(-np.minimum(s[:, None] * g, 1.0 - 1e-12))
+    terms = np.multiply(g, s[:, None] if np.ndim(s) else s)
+    np.minimum(terms, 1.0 - 1e-12, out=terms)
+    np.negative(terms, out=terms)
+    np.log1p(terms, out=terms)
     if terms.shape[1] >= 8:
         return terms.sum(axis=1)
     log_q = np.zeros(len(terms))
@@ -175,13 +197,15 @@ def _log_no_damage(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return log_q
 
 
-def _bernoulli_ll(g: np.ndarray, damaged: np.ndarray, s: np.ndarray) -> float:
+def _bernoulli_ll(g: np.ndarray, hit: np.ndarray, miss: np.ndarray, s) -> float:
     """Log-likelihood of damaged flags under noisy-OR with factors s * g.
 
     Args:
         g: (n, n_pockets) Gaussian falloff per PoI and pocket.
-        damaged: (n,) observed flags.
-        s: (n,) susceptibility per PoI (already class-expanded).
+        hit, miss: ascending indices of the damaged and of the
+            undamaged rows (see _split).
+        s: (n,) susceptibility per PoI (already class-expanded), or a
+            scalar for all of them.
 
     Returns:
         Sum of log P(flag | model), computed via log1p on the survival
@@ -190,21 +214,25 @@ def _bernoulli_ll(g: np.ndarray, damaged: np.ndarray, s: np.ndarray) -> float:
     if g.size == 0:
         return 0.0
     log_q = _log_no_damage(g, s)
-    ll = float(log_q[~damaged].sum())
-    if damaged.any():
-        p = -np.expm1(log_q[damaged])
-        ll += float(np.log(np.maximum(p, 1e-300)).sum())
+    ll = float(log_q[miss].sum())
+    if hit.size:
+        p = np.expm1(log_q[hit])
+        np.negative(p, out=p)
+        np.maximum(p, 1e-300, out=p)
+        ll += float(np.log(p, out=p).sum())
     return ll
 
 
-def fit_estimator(scenarios: Sequence[Scenario]) -> FittedParams:
+def fit_estimator(scenarios: Iterable[Scenario]) -> FittedParams:
     """Fit sigma and per-class susceptibilities by coordinate descent.
 
-    Each sweep runs a golden-section search on sigma over [5, 500] and
-    then on each class susceptibility over [1e-6, 1].  Stops when a
-    sweep improves the log-likelihood by less than 1e-9, or flags
-    non-convergence after 200 sweeps.  Classes absent from the training
-    set fall back to susceptibility 0.5.
+    Reads `scenarios` once, one world at a time, so a generator of
+    worlds is fitted without holding them all.  Each sweep runs a
+    golden-section search on sigma over [5, 500] and then on each class
+    susceptibility over [1e-6, 1].  Stops when a sweep improves the
+    log-likelihood by less than 1e-9, or flags non-convergence after
+    200 sweeps.  Classes absent from the training set fall back to
+    susceptibility 0.5.
     """
     data = _TrainingSet(scenarios)
     if data.damaged.size == 0:
@@ -216,7 +244,7 @@ def fit_estimator(scenarios: Sequence[Scenario]) -> FittedParams:
 
     def full_ll(sig: float, s_vec: np.ndarray) -> float:
         g = data.gauss(sig)
-        return _bernoulli_ll(g, data.damaged, s_vec[data.class_idx])
+        return _bernoulli_ll(g, data.hit, data.miss, s_vec[data.class_idx])
 
     ll = full_ll(sigma, susc)
     history = [ll]
@@ -227,11 +255,11 @@ def fit_estimator(scenarios: Sequence[Scenario]) -> FittedParams:
         )
         g = data.gauss(sigma)
         for c in present:
-            rows = data.class_rows[c]
-            gc, yc = g[rows], data.damaged[rows]
+            gc = g[data.class_rows[c]]
+            hit, miss = data.class_split[c]
 
-            def class_ll(s_val: float, gc=gc, yc=yc) -> float:
-                return _bernoulli_ll(gc, yc, np.full(len(gc), s_val))
+            def class_ll(s_val: float, gc=gc, hit=hit, miss=miss) -> float:
+                return _bernoulli_ll(gc, hit, miss, s_val)
 
             susc[c], _ = _golden_max(
                 class_ll, SUSCEPTIBILITY_BRACKET[0], SUSCEPTIBILITY_BRACKET[1]

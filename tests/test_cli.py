@@ -1,6 +1,8 @@
 """Tests for the command-line entry points."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -34,6 +36,24 @@ class TestFit:
         raw = json.loads((tmp_path / "fitted_params.json").read_text())
         assert raw["sigma_hat"] > 0
         assert set(raw["susceptibility_hat"]) == {"forest", "field", "building"}
+
+    def test_holds_at_most_two_worlds_at_a_time(self, tmp_path, monkeypatch):
+        made, alive_at_call = [], []
+        generate = cli.generate_scenario
+
+        def tracked(seed, n_pois, params=None):
+            gc.collect()
+            alive_at_call.append(sum(ref() is not None for ref in made))
+            world = generate(seed, n_pois, params)
+            made.append(weakref.ref(world))
+            return world
+
+        monkeypatch.setattr(cli, "generate_scenario", tracked)
+        rc = cli.main(["fit", "--n-trials", "30", "--n-pois", "12", "--seed", "5",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert len(made) == 30
+        assert max(alive_at_call) <= 2
 
 
 class TestRun:

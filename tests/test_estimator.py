@@ -20,6 +20,7 @@ from mrsurvey.estimator import (
     write_fitted,
 )
 from mrsurvey.scenario import (
+    POI_CLASSES,
     GenerativeParams,
     PoI,
     Scenario,
@@ -156,6 +157,15 @@ def _reference_bernoulli_ll(g, damaged, s):
     return ll
 
 
+def _reference_on_index_split(g, hit, miss, s):
+    # the reference in its first call shape: a boolean mask and one
+    # susceptibility per row
+    damaged = np.zeros(len(g), dtype=bool)
+    damaged[hit] = True
+    assert np.array_equal(np.flatnonzero(~damaged), miss)
+    return _reference_bernoulli_ll(g, damaged, np.full(len(g), s) if np.ndim(s) == 0 else s)
+
+
 def _padded_falloff(rng, n, width, sigma=60.0):
     # rows with 0..width pockets, padded with inf distances as in a
     # training set of mixed pocket counts
@@ -176,7 +186,20 @@ class TestPocketSum:
         assert np.any(want == 0.0)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         damaged = rng.random(len(g)) < 0.3
-        assert estimator._bernoulli_ll(g, damaged, s) == _reference_bernoulli_ll(g, damaged, s)
+        hit, miss = estimator._split(damaged)
+        assert estimator._bernoulli_ll(g, hit, miss, s) == _reference_bernoulli_ll(g, damaged, s)
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_scalar_susceptibility_is_bit_identical_to_a_full_row(self, width):
+        rng = np.random.default_rng(100 + width)
+        g = _padded_falloff(rng, 3000, width)
+        damaged = rng.random(len(g)) < 0.3
+        hit, miss = estimator._split(damaged)
+        for s_val in (1e-6, 0.2, 0.8, 1.0, 0.123456789):
+            s = np.full(len(g), s_val)
+            want = estimator._log_no_damage(g, s)
+            assert estimator._log_no_damage(g, s_val).tobytes() == want.tobytes()
+            assert estimator._bernoulli_ll(g, hit, miss, s_val) == _reference_bernoulli_ll(g, damaged, s)
 
     @pytest.mark.parametrize("counts", [(0, 1, 2, 3), (1, 9, 4)])
     def test_fit_on_mixed_pocket_counts_matches_the_row_sum(self, monkeypatch, counts):
@@ -185,8 +208,61 @@ class TestPocketSum:
             for seed in range(30)
         ]
         fp = fit_estimator(scens)
-        monkeypatch.setattr(estimator, "_bernoulli_ll", _reference_bernoulli_ll)
+        monkeypatch.setattr(estimator, "_bernoulli_ll", _reference_on_index_split)
         assert fp == fit_estimator(scens)
+
+
+def _reference_training_rows(scenarios):
+    # the training arrays as first built: one padded Python row per PoI
+    max_pockets = max((len(s.wind_pockets) for s in scenarios), default=0)
+    rows = []
+    for s in scenarios:
+        for poi in s.pois:
+            row = [(poi.x - pk.x) ** 2 + (poi.y - pk.y) ** 2 for pk in s.wind_pockets]
+            rows.append(row + [math.inf] * (max_pockets - len(row)))
+    return np.asarray(rows, dtype=float).reshape(len(rows), max_pockets)
+
+
+def _mixed_worlds():
+    # pocket counts 1..9 in a scrambled order; every fifth world has no PoI
+    worlds = []
+    for seed in range(45):
+        params = GenerativeParams(n_wind_pockets=1 + (seed * 4) % 9)
+        worlds.append(generate_scenario(seed, 0 if seed % 5 == 2 else 1 + seed % 11, params))
+    return worlds
+
+
+class TestStreamedTrainingSet:
+    def test_worlds_cover_every_width_and_empty_worlds(self):
+        worlds = _mixed_worlds()
+        assert {len(w.wind_pockets) for w in worlds} == set(range(1, 10))
+        assert any(not w.pois for w in worlds)
+
+    def test_arrays_match_the_row_lists(self):
+        worlds = _mixed_worlds()
+        data = estimator._TrainingSet(iter(worlds))
+        want = _reference_training_rows(worlds)
+        assert data.d_sq.shape == want.shape == (sum(len(w.pois) for w in worlds), 9)
+        assert data.d_sq.tobytes() == want.tobytes()
+        flags = [p.damaged for w in worlds for p in w.pois]
+        assert data.damaged.tolist() == flags
+        assert data.class_idx.tolist() == [
+            POI_CLASSES.index(p.poi_class) for w in worlds for p in w.pois
+        ]
+
+    def test_fit_on_an_iterator_equals_the_fit_on_a_list(self):
+        worlds = _mixed_worlds()
+        streamed = fit_estimator(iter(worlds))
+        listed = fit_estimator(worlds)
+        assert streamed == listed
+        assert streamed.ll_history == listed.ll_history and len(listed.ll_history) > 1
+
+    def test_empty_iterator_rejected_like_an_empty_list(self):
+        with pytest.raises(ValueError) as from_list:
+            fit_estimator([])
+        with pytest.raises(ValueError) as from_iter:
+            fit_estimator(iter([]))
+        assert str(from_iter.value) == str(from_list.value)
 
 
 class TestCalibration:
