@@ -16,10 +16,8 @@ def optimistic_assign(state: PlanningState) -> JointAction:
     """
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
-    rx, ry = state.robot_xy.T.tolist()
-    xs, ys = state.poi_xy.T.tolist()
-    targets, _ = _claim_nearest(rx, ry, state.robot_speeds.tolist(), xs, ys)
-    return JointAction(tuple(int(state.poi_ids[j]) for j in targets))
+    targets, _ = _claim_nearest(state.robot_x, state.robot_y, state.robot_speeds, state.poi_x, state.poi_y)
+    return JointAction(tuple(state.poi_ids[j] for j in targets))
 
 
 def greedy_assign(state: PlanningState) -> JointAction:
@@ -35,14 +33,15 @@ def greedy_assign(state: PlanningState) -> JointAction:
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
     ids = state.poi_ids
-    lik = state.likelihoods.tolist()
-    xs, ys = state.poi_xy.T.tolist()
-    rx, ry = state.robot_xy.T.tolist()
-    speeds = state.robot_speeds.tolist()
-    chosen = sorted(range(len(ids)), key=lambda j: (-lik[j], ids[j]))[: min(len(speeds), len(ids))]
+    xs, ys = state.poi_x, state.poi_y
+    speeds = state.robot_speeds
+    # poi_ids ascends and a reversed sort stays stable, so ties keep the
+    # lower id.
+    by_prob = sorted(range(len(ids)), key=state.likelihoods.__getitem__, reverse=True)
+    chosen = by_prob[: min(len(speeds), len(ids))]
 
     cost = []
-    for x, y, v in zip(rx, ry, speeds):
+    for x, y, v in zip(state.robot_x, state.robot_y, speeds):
         row = []
         for j in chosen:
             dx = x - xs[j]

@@ -2,8 +2,10 @@
 
 Trial i of every cell uses scenario seed seed_base + i, so all planners
 (and all robot counts) face identical scenarios and per-trial costs are
-directly comparable.  Aggregation is keyed and sorted by seed, which
-keeps results independent of worker scheduling when a pool is used.
+directly comparable.  One task per (PoI count, seed) builds that world
+and resolves its likelihoods once, then flies every robot count and
+planner on it.  Aggregation is keyed and sorted by seed, which keeps
+results independent of worker scheduling when a pool is used.
 """
 
 from __future__ import annotations
@@ -81,61 +83,61 @@ class AggregateReport:
 
 
 def _run_trial(
-    spec: ExperimentSpec, n_pois: int, n_robots: int, seed: int
-) -> Tuple[int, int, int, Dict[str, MissionOutcome]]:
+    spec: ExperimentSpec, n_pois: int, seed: int
+) -> List[Tuple[int, int, int, Dict[str, MissionOutcome]]]:
+    """Trial seed at n_pois PoIs: every planner at every robot count, on
+    one world generated and resolved once."""
     scenario = generate_scenario(seed, n_pois, spec.gen_params)
     likelihoods = resolve_likelihoods(scenario, spec.estimator)
-    out: Dict[str, MissionOutcome] = {}
-    for planner in spec.planners:
-        config = MissionConfig(
-            planner=planner,
-            planner_config=spec.planner_config,
-            estimator=spec.estimator,
-            n_robots=n_robots,
-            speed=spec.speed,
-            seed=seed,
-        )
-        trace = run_mission(scenario, config, likelihoods=likelihoods)
-        result = replay_check(trace, scenario)
-        curve = tuple(
-            (c.time, c.distance_traveled, c.expected_cost_accrued, c.realized_cost_accrued, c.n_damaged_unreported)
-            for c in trace.cost_curve
-        )
-        out[planner] = MissionOutcome(
-            cost=trace.total_realized_cost,
-            total_time=trace.total_time,
-            total_distance=trace.total_distance,
-            planning_wall_median=trace.planning_calls.median_wall,
-            curve=curve,
-            replay_ok=result.ok,
-            replay_reasons=tuple(result.reasons),
-        )
-    return n_pois, n_robots, seed, out
+    rows = []
+    for n_robots in spec.n_robots:
+        out: Dict[str, MissionOutcome] = {}
+        for planner in spec.planners:
+            config = MissionConfig(
+                planner=planner,
+                planner_config=spec.planner_config,
+                estimator=spec.estimator,
+                n_robots=n_robots,
+                speed=spec.speed,
+                seed=seed,
+            )
+            trace = run_mission(scenario, config, likelihoods=likelihoods)
+            result = replay_check(trace, scenario)
+            curve = tuple(
+                (c.time, c.distance_traveled, c.expected_cost_accrued, c.realized_cost_accrued, c.n_damaged_unreported)
+                for c in trace.cost_curve
+            )
+            out[planner] = MissionOutcome(
+                cost=trace.total_realized_cost,
+                total_time=trace.total_time,
+                total_distance=trace.total_distance,
+                planning_wall_median=trace.planning_calls.median_wall,
+                curve=curve,
+                replay_ok=result.ok,
+                replay_reasons=tuple(result.reasons),
+            )
+        rows.append((n_pois, n_robots, seed, out))
+    return rows
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     """Run every (n_pois, n_robots) cell for every planner with paired seeds."""
     spec.validate()
-    tasks = [
-        (n_p, n_r, spec.seed_base + i)
-        for n_p in spec.n_pois
-        for n_r in spec.n_robots
-        for i in range(spec.n_trials)
-    ]
+    tasks = [(n_p, spec.seed_base + i) for n_p in spec.n_pois for i in range(spec.n_trials)]
     if spec.parallelism > 1:
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            results = list(
+            trials = list(
                 pool.map(
                     _run_trial,
                     [spec] * len(tasks),
                     [t[0] for t in tasks],
                     [t[1] for t in tasks],
-                    [t[2] for t in tasks],
                     chunksize=1,
                 )
             )
     else:
-        results = [_run_trial(spec, n_p, n_r, seed) for n_p, n_r, seed in tasks]
+        trials = [_run_trial(spec, n_p, seed) for n_p, seed in tasks]
+    results = [row for rows in trials for row in rows]
     results.sort(key=lambda r: (r[0], r[1], r[2]))
 
     cells: Dict[Tuple[str, int, int], CellStats] = {}

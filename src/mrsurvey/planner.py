@@ -29,7 +29,9 @@ to a priority subset (top likelihoods plus nearest-per-robot fill).
 
 Each travel time is computed once: the nearest claim and the search's
 travel rows hand theirs to `_step`.  Nodes that share a remaining PoI
-set share its pair distances.
+set share its pair distances.  A `PlanningState` holds tuples of python
+floats, so the search, the baselines and `action_outcome` read it
+without converting arrays, and this module does not use numpy.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,25 @@ class JointAction:
 
 @dataclass(frozen=True)
 class PlanningState:
-    """Remaining PoIs plus robot poses; arrays are row-aligned with poi_ids.
+    """Remaining PoIs plus robot poses, as tuples of python floats.
 
-    poi_ids is sorted ascending; treat all arrays as immutable.
-    robot_targets holds each robot's committed PoI id (None when free),
-    and robot_remaining the inspection time it still needs there (0.0
-    when free).  A robot keeps that progress only if the next action
-    sends it to the same PoI.
+    One tuple per column: poi_x, poi_y, inspect_times and likelihoods
+    are row-aligned with poi_ids, which is sorted ascending; robot_x,
+    robot_y, robot_speeds, robot_targets and robot_remaining hold one
+    entry per robot in index order.  robot_targets holds each robot's
+    committed PoI id (None when free), and robot_remaining the
+    inspection time it still needs there (0.0 when free).  A robot keeps
+    that progress only if the next action sends it to the same PoI.
     """
 
     poi_ids: Tuple[int, ...]
-    poi_xy: np.ndarray
-    inspect_times: np.ndarray
-    likelihoods: np.ndarray
-    robot_xy: np.ndarray
-    robot_speeds: np.ndarray
+    poi_x: Tuple[float, ...]
+    poi_y: Tuple[float, ...]
+    inspect_times: Tuple[float, ...]
+    likelihoods: Tuple[float, ...]
+    robot_x: Tuple[float, ...]
+    robot_y: Tuple[float, ...]
+    robot_speeds: Tuple[float, ...]
     robot_targets: Tuple[Optional[int], ...]
     robot_remaining: Tuple[float, ...]
     elapsed: float = 0.0
@@ -93,7 +97,7 @@ class PlanningState:
 
     @property
     def n_robots(self) -> int:
-        return len(self.robot_xy)
+        return len(self.robot_x)
 
     def index_of(self, poi_id: int) -> int:
         i = bisect.bisect_left(self.poi_ids, poi_id)
@@ -109,10 +113,12 @@ class PlanningState:
         held = [t in kept for t in self.robot_targets]
         return PlanningState(
             poi_ids=tuple(keep),
-            poi_xy=self.poi_xy[idx],
-            inspect_times=self.inspect_times[idx],
-            likelihoods=self.likelihoods[idx],
-            robot_xy=self.robot_xy,
+            poi_x=tuple(self.poi_x[i] for i in idx),
+            poi_y=tuple(self.poi_y[i] for i in idx),
+            inspect_times=tuple(self.inspect_times[i] for i in idx),
+            likelihoods=tuple(self.likelihoods[i] for i in idx),
+            robot_x=self.robot_x,
+            robot_y=self.robot_y,
             robot_speeds=self.robot_speeds,
             robot_targets=tuple(t if h else None for t, h in zip(self.robot_targets, held)),
             robot_remaining=tuple(q if h else 0.0 for q, h in zip(self.robot_remaining, held)),
@@ -125,27 +131,33 @@ def make_state(
     robots: Sequence[RobotState],
     elapsed: float = 0.0,
 ) -> PlanningState:
-    """Build a PlanningState from (id, x, y, inspect_time, likelihood) rows."""
+    """Build a PlanningState from (id, x, y, inspect_time, likelihood) rows.
+
+    Every number is converted with float(), so the state holds python
+    floats even when the inputs are numpy scalars.
+    """
     rows = sorted(pois, key=lambda r: r[0])
     ids = tuple(int(r[0]) for r in rows)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate PoI ids")
-    xy = np.array([[r[1], r[2]] for r in rows], dtype=float).reshape(len(rows), 2)
-    insp = np.array([r[3] for r in rows], dtype=float)
-    lik = np.array([r[4] for r in rows], dtype=float)
-    if not np.all(np.isfinite(xy)):
+    xs = tuple(float(r[1]) for r in rows)
+    ys = tuple(float(r[2]) for r in rows)
+    insp = tuple(float(r[3]) for r in rows)
+    lik = tuple(float(r[4]) for r in rows)
+    if not all(math.isfinite(v) for v in xs + ys):
         raise ValueError("non-finite PoI position")
-    if np.any(insp < 0.0) or not np.all(np.isfinite(insp)):
+    if not all(0.0 <= t < math.inf for t in insp):
         raise ValueError("inspect times must be finite and >= 0")
-    if not np.all((lik >= 0.0) & (lik <= 1.0)):
+    if not all(0.0 <= p <= 1.0 for p in lik):
         raise ValueError("likelihoods must lie in [0, 1]")
     if not robots:
         raise ValueError("at least one robot required")
-    rob = np.array([[r.x, r.y] for r in robots], dtype=float)
-    spd = np.array([r.speed for r in robots], dtype=float)
-    if not np.all(np.isfinite(rob)):
+    rx = tuple(float(r.x) for r in robots)
+    ry = tuple(float(r.y) for r in robots)
+    spd = tuple(float(r.speed) for r in robots)
+    if not all(math.isfinite(v) for v in rx + ry):
         raise ValueError("non-finite robot position")
-    if np.any(spd <= 0.0) or not np.all(np.isfinite(spd)):
+    if not all(0.0 < v < math.inf for v in spd):
         raise ValueError("robot speeds must be finite and > 0")
     row_of = {pid: j for j, pid in enumerate(ids)}
     targets: List[Optional[int]] = []
@@ -157,13 +169,13 @@ def make_state(
             continue
         if r.target not in row_of:
             raise ValueError(f"robot {r.index} is committed to PoI {r.target}, which is not in the state")
-        full = float(insp[row_of[r.target]])
+        full = insp[row_of[r.target]]
         left = full if r.remaining is None else float(r.remaining)
         if not 0.0 <= left <= full:
             raise ValueError(f"robot {r.index} remaining inspection must lie in [0, {full}]")
         targets.append(int(r.target))
         remaining.append(left)
-    return PlanningState(ids, xy, insp, lik, rob, spd, tuple(targets), tuple(remaining), float(elapsed))
+    return PlanningState(ids, xs, ys, insp, lik, rx, ry, spd, tuple(targets), tuple(remaining), float(elapsed))
 
 
 @dataclass(frozen=True)
@@ -229,10 +241,10 @@ class NodeRecord:
 
 
 def _step(
-    rx: List[float],
-    ry: List[float],
-    xs: List[float],
-    ys: List[float],
+    rx: Sequence[float],
+    ry: Sequence[float],
+    xs: Sequence[float],
+    ys: Sequence[float],
     pids: Sequence[int],
     targ: List[int],
     rem: List[float],
@@ -310,53 +322,47 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
         if set(t_idx) != set(range(n)):
             raise ValueError("every remaining PoI must be covered when PoIs < robots")
 
-    # Scalar arithmetic on Python floats gives the same bits as on numpy
-    # scalars, at a fraction of the per-operation cost.
-    insp = state.inspect_times.tolist()
+    insp = state.inspect_times
     needs = [
         q if pid == held else insp[j]
         for pid, held, q, j in zip(action.targets, state.robot_targets, state.robot_remaining, t_idx)
     ]
     ids = state.poi_ids
-    rx, ry = state.robot_xy.T.tolist()
-    xs, ys = state.poi_xy.T.tolist()
+    xs, ys = state.poi_x, state.poi_y
     tts = []
-    for x, y, v, g in zip(rx, ry, state.robot_speeds.tolist(), t_idx):
+    for x, y, v, g in zip(state.robot_x, state.robot_y, state.robot_speeds, t_idx):
         dx = x - xs[g]
         dy = y - ys[g]
         tts.append(math.sqrt(dx * dx + dy * dy) / v)
-    duration, winner, rx, ry, targ, rem = _step(rx, ry, xs, ys, ids, t_idx, needs, tts)
+    duration, winner, rx, ry, targ, rem = _step(state.robot_x, state.robot_y, xs, ys, ids, t_idx, needs, tts)
     first_idx = t_idx[winner]
-    ids2 = ids[:first_idx] + ids[first_idx + 1:]
 
-    def drop(rows):
-        return np.concatenate((rows[:first_idx], rows[first_idx + 1:]))
+    def drop(col):
+        return col[:first_idx] + col[first_idx + 1:]
 
+    ids2 = drop(ids)
     successor = PlanningState(
         poi_ids=ids2,
-        poi_xy=drop(state.poi_xy),
-        inspect_times=drop(state.inspect_times),
+        poi_x=drop(xs),
+        poi_y=drop(ys),
+        inspect_times=drop(insp),
         likelihoods=drop(state.likelihoods),
-        robot_xy=np.array(list(zip(rx, ry)), dtype=float),
+        robot_x=tuple(rx),
+        robot_y=tuple(ry),
         robot_speeds=state.robot_speeds,
         robot_targets=tuple(None if t < 0 else ids2[t] for t in targ),
         robot_remaining=tuple(rem),
         elapsed=state.elapsed + duration,
     )
     return ActionOutcome(
-        duration=float(duration),
-        first_poi=int(ids[first_idx]),
-        finishing_robot=int(winner),
+        duration=duration,
+        first_poi=ids[first_idx],
+        finishing_robot=winner,
         successor=successor,
     )
 
 
 # --- bounds and greedy tail ---------------------------------------------------
-
-
-def _travel_matrix(rob: np.ndarray, spd: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    diff = rob[:, None, :] - xy[None, :, :]
-    return np.sqrt((diff * diff).sum(-1)) / spd[:, None]
 
 
 def _scalars(state: PlanningState) -> tuple:
@@ -366,13 +372,13 @@ def _scalars(state: PlanningState) -> tuple:
     inspection time it still needs there."""
     return (
         list(state.poi_ids),
-        state.poi_xy[:, 0].tolist(),
-        state.poi_xy[:, 1].tolist(),
-        state.inspect_times.tolist(),
-        state.likelihoods.tolist(),
-        state.robot_xy[:, 0].tolist(),
-        state.robot_xy[:, 1].tolist(),
-        state.robot_speeds.tolist(),
+        list(state.poi_x),
+        list(state.poi_y),
+        list(state.inspect_times),
+        list(state.likelihoods),
+        list(state.robot_x),
+        list(state.robot_y),
+        list(state.robot_speeds),
         [-1 if t is None else state.index_of(t) for t in state.robot_targets],
         list(state.robot_remaining),
     )
@@ -388,7 +394,7 @@ def _least_need(insp: List[float], targ: List[int], rem: List[float]) -> List[fl
 
 
 def _claim_nearest(
-    rx: List[float], ry: List[float], spd: List[float], xs: List[float], ys: List[float]
+    rx: Sequence[float], ry: Sequence[float], spd: Sequence[float], xs: Sequence[float], ys: Sequence[float]
 ) -> Tuple[List[int], List[float]]:
     """Each robot's nearest-PoI claim, as a row index, and its travel time
     there, on scalar state.
@@ -477,7 +483,7 @@ class _SearchStats:
 
 
 def _travel_rows(
-    rx: List[float], ry: List[float], spd: List[float], xs: List[float], ys: List[float]
+    rx: Sequence[float], ry: Sequence[float], spd: Sequence[float], xs: Sequence[float], ys: Sequence[float]
 ) -> List[List[float]]:
     """Per robot, its straight-line travel time to every PoI."""
     rows = []
@@ -863,10 +869,12 @@ def select_priority_subset(state: PlanningState, config: PlannerConfig) -> Tuple
     if n <= config.n_priority:
         return tuple(state.poi_ids)
 
-    by_prob = sorted(range(n), key=lambda j: (-state.likelihoods[j], state.poi_ids[j]))
+    # poi_ids ascends and a reversed sort stays stable, so ties keep the
+    # lower id.
+    by_prob = sorted(range(n), key=state.likelihoods.__getitem__, reverse=True)
     chosen: Set[int] = set(by_prob[: config.n_top_prob])
 
-    tt = _travel_matrix(state.robot_xy, state.robot_speeds, state.poi_xy)
+    tt = _travel_rows(state.robot_x, state.robot_y, state.robot_speeds, state.poi_x, state.poi_y)
     robot = 0
     while len(chosen) < config.n_priority:
         row = tt[robot]

@@ -35,6 +35,7 @@ from . import baselines
 from .estimator import clamp_for_planner, resolve_likelihoods
 from .planner import (
     PlannerConfig,
+    PlanningState,
     RobotState,
     action_outcome,
     make_state,
@@ -131,6 +132,27 @@ def _dispatch(name: str, config: PlannerConfig):
     raise ValueError(f"unknown planner {name!r}")
 
 
+def _team_distance(before: PlanningState, after: PlanningState) -> float:
+    """The length of every robot's leg between two states, summed.
+
+    The distance used to be numpy's sum of the legs.  Below 8 legs that
+    sum adds them left to right, so a plain loop in robot order gives the
+    same bits (the builtin sum() compensates from Python 3.12 on); from 8
+    on numpy sums pairwise, so its sum is kept.
+    """
+    legs = []
+    for x0, y0, x1, y1 in zip(before.robot_x, before.robot_y, after.robot_x, after.robot_y):
+        dx = x1 - x0
+        dy = y1 - y0
+        legs.append(math.sqrt(dx * dx + dy * dy))
+    if len(legs) >= 8:
+        return float(np.sum(legs))
+    total = 0.0
+    for leg in legs:
+        total += leg
+    return total
+
+
 def run_mission(
     scenario: Scenario,
     config: MissionConfig,
@@ -171,8 +193,7 @@ def run_mission(
 
         outcome = action_outcome(state, action)
         duration = outcome.duration
-        step = outcome.successor.robot_xy - state.robot_xy
-        dist += float(np.sqrt((step * step).sum(axis=1)).sum())
+        dist += _team_distance(state, outcome.successor)
 
         exp_acc += k_rate * duration * sum(raw[pid] for pid in state.poi_ids)
         real_acc += k_rate * duration * sum(1 for pid in state.poi_ids if pois[pid].damaged)

@@ -151,17 +151,17 @@ def lower_bound(state, accrued, k=1.0):
     """
     total = 0.0
     for j, pid in enumerate(state.poi_ids):
-        px, py = state.poi_xy[j].tolist()
+        px, py = state.poi_x[j], state.poi_y[j]
         nearest = math.inf
-        for (x, y), v in zip(state.robot_xy.tolist(), state.robot_speeds.tolist()):
+        for x, y, v in zip(state.robot_x, state.robot_y, state.robot_speeds):
             dx = x - px
             dy = y - py
             nearest = min(nearest, math.sqrt(dx * dx + dy * dy) / v)
-        need = float(state.inspect_times[j])
+        need = state.inspect_times[j]
         for t, q in zip(state.robot_targets, state.robot_remaining):
             if t == pid:
                 need = min(need, q)
-        total += float(state.likelihoods[j]) * (nearest + need)
+        total += state.likelihoods[j] * (nearest + need)
     return accrued + k * total
 
 
@@ -274,20 +274,31 @@ def nearest_neighbor_order(start, pois_xy):
     return order
 
 
+def _travel_matrix(state):
+    """Every robot's straight-line travel time to every PoI, as the numpy
+    array expression the planner used before its state held python
+    floats: rows are robots, columns PoIs."""
+    import numpy as np
+
+    rob = np.array([state.robot_x, state.robot_y], dtype=float).T.reshape(state.n_robots, 2)
+    xy = np.array([state.poi_x, state.poi_y], dtype=float).T.reshape(state.n_pois, 2)
+    spd = np.array(state.robot_speeds, dtype=float)
+    diff = rob[:, None, :] - xy[None, :, :]
+    return np.sqrt((diff * diff).sum(-1)) / spd[:, None]
+
+
 def scipy_greedy_assign(state):
     """The greedy baseline as written on `scipy.optimize.linear_sum_assignment`
     and numpy travel times, the oracle for the library's scalar port."""
     import numpy as np
     from scipy.optimize import linear_sum_assignment
 
-    from mrsurvey.planner import _travel_matrix
-
     n, n_rob = state.n_pois, state.n_robots
     k = min(n_rob, n)
     by_prob = sorted(range(n), key=lambda j: (-state.likelihoods[j], state.poi_ids[j]))
     chosen = by_prob[:k]
 
-    tt = _travel_matrix(state.robot_xy, state.robot_speeds, state.poi_xy)
+    tt = _travel_matrix(state)
     cost = tt[:, chosen]
     rows, cols = linear_sum_assignment(cost)
     targets = np.full(n_rob, -1, dtype=np.int64)

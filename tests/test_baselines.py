@@ -97,12 +97,10 @@ class TestOptimisticAssign:
             assert m.optimistic_assign(st).targets == want
             # The claim also hands back each robot's travel time to its
             # claim; the segment step uses it in place of its own sqrt.
-            xy = st.poi_xy.tolist()
-            claims, times = _claim_nearest(*st.robot_xy.T.tolist(), st.robot_speeds.tolist(),
-                                           *st.poi_xy.T.tolist())
+            claims, times = _claim_nearest(st.robot_x, st.robot_y, st.robot_speeds, st.poi_x, st.poi_y)
             for (x, y, v), g, t in zip(robots, claims, times):
-                dx = x - xy[g][0]
-                dy = y - xy[g][1]
+                dx = x - st.poi_x[g]
+                dy = y - st.poi_y[g]
                 assert t.hex() == (math.sqrt(dx * dx + dy * dy) / v).hex()
             seen["tie"] += ties > 0
             seen["mixed speeds"] += len({r[2] for r in robots}) > 1
@@ -158,7 +156,7 @@ class TestGreedyAssign:
         # Integer grid positions, few speeds and few likelihood values make
         # exact ties common, in the target set and in the matching.
         rng = random.Random(47)
-        seen = {"colocated": 0, "tie": 0, "mixed speeds": 0, "fewer PoIs": 0}
+        seen = {"colocated": 0, "tie": 0, "mixed speeds": 0, "fewer PoIs": 0, "tied likelihoods": 0}
         for _ in range(3000):
             n_rob = rng.randint(1, 7)
             n = rng.randint(1, 6) if rng.random() < 0.25 else rng.randint(1, 36)
@@ -171,13 +169,18 @@ class TestGreedyAssign:
                 robots = [robots[0][:2] + [r[2]] for r in robots]
             st = _state_from(pois, robots)
             assert m.greedy_assign(st) == reference.scipy_greedy_assign(st), (pois, robots)
-            chosen = sorted(pois, key=lambda p: (-p[4], p[0]))[:n_rob]
+            ranked = sorted(pois, key=lambda p: (-p[4], p[0]))
+            chosen = ranked[:n_rob]
             times = [[math.sqrt((x - p[1]) * (x - p[1]) + (y - p[2]) * (y - p[2])) / v for p in chosen]
                      for x, y, v in robots]
             seen["colocated"] += n_rob > 1 and len({(x, y) for x, y, _ in robots}) == 1
             seen["tie"] += any(len(set(row)) < len(row) for row in times)
             seen["mixed speeds"] += len({r[2] for r in robots}) > 1
             seen["fewer PoIs"] += n < n_rob
+            # equal likelihoods in the target set or at its cut: the lower
+            # id must win, which the library leaves to a stable sort
+            top = [p[4] for p in ranked[:n_rob + 1]]
+            seen["tied likelihoods"] += len(set(top)) < len(top)
         assert min(seen.values()) >= 40, seen
 
 

@@ -1,11 +1,13 @@
 """Tests for the batch experiment driver and its output files."""
 
+import dataclasses
 import json
 import statistics
 
 import pytest
 
 import mrsurvey as m
+from mrsurvey import harness
 from mrsurvey.harness import ExperimentSpec, emit_outputs, run_experiment
 
 
@@ -20,6 +22,15 @@ def _tiny_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def _without_walls(stats_bytes):
+    """stats.json with its planning wall times, which differ between runs,
+    taken out."""
+    stats = json.loads(stats_bytes)
+    for cell in stats["cells"]:
+        del cell["median_planning_wall"]
+    return json.dumps(stats).encode()
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +95,38 @@ class TestRunExperiment:
         parallel = run_experiment(_tiny_spec(n_trials=3, parallelism=2))
         for key in serial.cells:
             assert serial.cells[key].costs == parallel.cells[key].costs
+
+    def test_each_world_is_built_and_resolved_once_per_trial(self, monkeypatch):
+        calls = {"generate": [], "resolve": []}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name].append(args[:2] if name == "generate" else args[0].seed)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(harness, "generate_scenario", counted("generate", harness.generate_scenario))
+        monkeypatch.setattr(harness, "resolve_likelihoods", counted("resolve", harness.resolve_likelihoods))
+        rep = run_experiment(_tiny_spec(n_trials=3, n_pois=(4, 5), n_robots=(1, 2, 3),
+                                        planners=("optimistic", "greedy")))
+        assert sorted(calls["generate"]) == [(300 + i, n) for i in range(3) for n in (4, 5)]
+        assert sorted(calls["resolve"]) == sorted(300 + i for i in range(3) for _ in (4, 5))
+        assert len(rep.cells) == 2 * 2 * 3
+        for cell in rep.cells.values():
+            assert cell.seeds == (300, 301, 302)
+
+    def test_pool_outputs_are_byte_identical(self, tmp_path):
+        spec = _tiny_spec(n_trials=3, n_pois=(4, 5), n_robots=(1, 2, 3))
+        emit_outputs(run_experiment(spec), str(tmp_path / "serial"))
+        emit_outputs(run_experiment(dataclasses.replace(spec, parallelism=2)), str(tmp_path / "pool"))
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
+        for name in names:
+            a = (tmp_path / "serial" / name).read_bytes()
+            b = (tmp_path / "pool" / name).read_bytes()
+            if name == "stats.json":
+                a, b = _without_walls(a), _without_walls(b)
+            assert a == b, name
 
     def test_multi_cell_grid(self):
         rep = run_experiment(_tiny_spec(n_trials=2, n_robots=(1, 2),

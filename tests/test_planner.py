@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mrsurvey as m
-from mrsurvey.planner import NodeRecord, _scalars, _tail
+from mrsurvey.planner import NodeRecord, _scalars, _tail, _travel_rows
 
 import reference
 
@@ -79,7 +79,7 @@ class TestMakeState:
         st = m.make_state([(5, 1.0, 0.0, 0.0, 0.2), (2, 0.0, 1.0, 0.0, 0.8)],
                           [m.RobotState(0, 0.0, 0.0)])
         assert st.poi_ids == (2, 5)
-        assert st.likelihoods.tolist() == [0.8, 0.2]
+        assert st.likelihoods == (0.8, 0.2)
 
     def test_validation(self):
         rob = [m.RobotState(0, 0.0, 0.0)]
@@ -95,6 +95,53 @@ class TestMakeState:
             m.make_state([(0, 0.0, 0.0, 0.0, 0.5)], [])
         with pytest.raises(ValueError):
             m.make_state([(0, 0.0, 0.0, 0.0, 0.5)], [m.RobotState(0, 0.0, 0.0, 0.0)])
+
+    def test_fields_hold_python_floats(self):
+        # numpy and integer inputs become exact python floats, sign of zero kept
+        pois = [(np.int64(4), np.float64(1.5), np.float32(2.0), np.int64(30), np.float64(0.25)),
+                (1, 3, -0.0, 0, 1)]
+        robots = [m.RobotState(0, np.float64(0.5), np.int64(2), np.float32(1.5), np.int64(4), np.float64(7.0)),
+                  m.RobotState(1, 1, 1, 2)]
+        st = m.make_state(pois, robots, elapsed=np.float64(3.0))
+        floats = ("poi_x", "poi_y", "inspect_times", "likelihoods",
+                  "robot_x", "robot_y", "robot_speeds", "robot_remaining")
+        assert (st.poi_x, st.poi_y, st.inspect_times, st.likelihoods) == (
+            (3.0, 1.5), (-0.0, 2.0), (0.0, 30.0), (1.0, 0.25))
+        assert (st.robot_x, st.robot_y, st.robot_speeds) == ((0.5, 1.0), (2.0, 1.0), (1.5, 2.0))
+        assert st.poi_y[0].hex() == (-0.0).hex()
+        assert st.robot_targets == (4, None) and type(st.robot_targets[0]) is int
+        assert all(type(pid) is int for pid in st.poi_ids)
+        succ = m.action_outcome(st, m.JointAction((4, 1))).successor
+        for state in (st, st.subset([4]), succ):
+            for name in floats:
+                col = getattr(state, name)
+                assert type(col) is tuple and all(type(v) is float for v in col), name
+            assert type(state.elapsed) is float
+
+    def test_validation_messages(self):
+        rob = [m.RobotState(0, 0.0, 0.0)]
+        bad_pois = [
+            ((0, np.nan, 0.0, 0.0, 0.5), "non-finite PoI position"),
+            ((0, 0.0, -np.inf, 0.0, 0.5), "non-finite PoI position"),
+            ((0, 0.0, 0.0, np.float64(-1.0), 0.5), "inspect times must be finite and >= 0"),
+            ((0, 0.0, 0.0, math.inf, 0.5), "inspect times must be finite and >= 0"),
+            ((0, 0.0, 0.0, math.nan, 0.5), "inspect times must be finite and >= 0"),
+            ((0, 0.0, 0.0, 0.0, np.float64(1.5)), r"likelihoods must lie in \[0, 1\]"),
+            ((0, 0.0, 0.0, 0.0, -0.25), r"likelihoods must lie in \[0, 1\]"),
+            ((0, 0.0, 0.0, 0.0, math.nan), r"likelihoods must lie in \[0, 1\]"),
+        ]
+        for row, msg in bad_pois:
+            with pytest.raises(ValueError, match=msg):
+                m.make_state([row], rob)
+        ok = [(0, 0.0, 0.0, 0.0, 0.5)]
+        with pytest.raises(ValueError, match="at least one robot required"):
+            m.make_state(ok, [])
+        for x, y in ((math.nan, 0.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="non-finite robot position"):
+                m.make_state(ok, [m.RobotState(0, x, y)])
+        for v in (0.0, -1.0, np.float64(0.0), math.inf, math.nan):
+            with pytest.raises(ValueError, match="robot speeds must be finite and > 0"):
+                m.make_state(ok, [m.RobotState(0, 0.0, 0.0, v)])
 
     def test_commitments_and_their_validation(self):
         pois = [(3, 1.0, 0.0, 30.0, 0.5), (5, 2.0, 0.0, 10.0, 0.5)]
@@ -120,7 +167,7 @@ class TestMakeState:
                           [m.RobotState(0, 0.0, 0.0)])
         sub = st.subset([3, 1])
         assert sub.poi_ids == (1, 3)
-        assert sub.poi_xy[:, 0].tolist() == [1.0, 3.0]
+        assert sub.poi_x == (1.0, 3.0)
         assert st.index_of(4) == 4
         with pytest.raises(KeyError):
             st.index_of(9)
@@ -205,8 +252,8 @@ class TestActionOutcome:
         assert succ.poi_ids == (1,)
         # finishing robot sits on the revealed PoI, the other robot has
         # advanced 34 of its 100 meters toward PoI 1
-        assert tuple(succ.robot_xy[0]) == (4.0, 0.0)
-        assert tuple(succ.robot_xy[1]) == (34.0, 20.0)
+        assert (succ.robot_x[0], succ.robot_y[0]) == (4.0, 0.0)
+        assert (succ.robot_x[1], succ.robot_y[1]) == (34.0, 20.0)
         assert succ.elapsed == st.elapsed + out.duration
 
     def test_advance_capped_at_target(self):
@@ -214,7 +261,7 @@ class TestActionOutcome:
         st = _state_from([(0, 4.0, 0.0, 30.0, 0.5), (1, 0.0, 10.0, 30.0, 0.5)],
                          [[0, 0, 1], [0, 0, 1]])
         out = m.action_outcome(st, m.JointAction((0, 1)))
-        assert tuple(out.successor.robot_xy[1]) == (0.0, 10.0)
+        assert (out.successor.robot_x[1], out.successor.robot_y[1]) == (0.0, 10.0)
 
     def test_kept_target_keeps_progress(self):
         # robot 0 reaches PoI 0 at t=10 and inspects it while robot 1
@@ -255,9 +302,10 @@ class TestActionOutcome:
                 assert out.first_poi in st.poi_ids
                 assert out.first_poi not in out.successor.poi_ids
                 for i in range(st.n_robots):
-                    a = st.robot_xy[i]
-                    t = st.poi_xy[st.index_of(act.targets[i])]
-                    b = out.successor.robot_xy[i]
+                    j = st.index_of(act.targets[i])
+                    a = np.array([st.robot_x[i], st.robot_y[i]])
+                    t = np.array([st.poi_x[j], st.poi_y[j]])
+                    b = np.array([out.successor.robot_x[i], out.successor.robot_y[i]])
                     seg = t - a
                     off = b - a
                     # successor position lies on the segment toward the target
@@ -494,14 +542,34 @@ class TestPrioritySubset:
             assert m.select_priority_subset(st, cfg) == _subset_rule(st, cfg)
 
 
+def test_travel_rows_match_the_numpy_matrix():
+    # the priority subset's travel times, bit for bit against the array
+    # expression it used before the state held python floats
+    rng = random.Random(5151)
+    mixed = 0
+    for _ in range(300):
+        pois = [(pid, rng.uniform(-500, 500), rng.choice([rng.uniform(-500, 500), -0.0, float(rng.randint(-3, 3))]),
+                 0.0, 0.5)
+                for pid in rng.sample(range(100), rng.randint(1, 40))]
+        robots = [[rng.uniform(-500, 500), rng.choice([rng.uniform(-500, 500), float(rng.randint(-3, 3))]),
+                   rng.choice([1.0, 0.5, 3.0, rng.uniform(0.1, 5.0)])]
+                  for _ in range(rng.randint(1, 7))]
+        st = _state_from(pois, robots)
+        rows = _travel_rows(st.robot_x, st.robot_y, st.robot_speeds, st.poi_x, st.poi_y)
+        want = reference._travel_matrix(st).tolist()
+        assert [[t.hex() for t in row] for row in rows] == [[t.hex() for t in row] for row in want]
+        mixed += len(set(st.robot_speeds)) > 1
+    assert mixed >= 100
+
+
 def _subset_rule(state, cfg):
     """Contract restated independently: top likelihoods, then each robot
     in index order adds its nearest unchosen PoI until n_priority."""
     ids = list(state.poi_ids)
     if len(ids) <= cfg.n_priority:
         return tuple(sorted(ids))
-    lik = {pid: float(state.likelihoods[i]) for i, pid in enumerate(ids)}
-    xy = {pid: state.poi_xy[i] for i, pid in enumerate(ids)}
+    lik = {pid: state.likelihoods[i] for i, pid in enumerate(ids)}
+    xy = {pid: (state.poi_x[i], state.poi_y[i]) for i, pid in enumerate(ids)}
     by_lik = sorted(ids, key=lambda pid: (-lik[pid], pid))
     chosen = set(by_lik[:cfg.n_top_prob])
     while len(chosen) < cfg.n_priority and len(chosen) < len(ids):
@@ -509,7 +577,7 @@ def _subset_rule(state, cfg):
             rest = [pid for pid in ids if pid not in chosen]
             if not rest or len(chosen) >= cfg.n_priority:
                 break
-            rx, ry = state.robot_xy[r]
+            rx, ry = state.robot_x[r], state.robot_y[r]
             pick = min(rest, key=lambda pid: ((xy[pid][0] - rx) ** 2 + (xy[pid][1] - ry) ** 2, pid))
             chosen.add(pick)
     return tuple(sorted(chosen))

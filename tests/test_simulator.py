@@ -171,7 +171,7 @@ def _carried_and_rebuilt(monkeypatch, scen, cfg, likelihoods=None):
         revealed.add(pid)
         t = t_next
         robots = [
-            m.RobotState(i, float(succ.robot_xy[i, 0]), float(succ.robot_xy[i, 1]), cfg.speed,
+            m.RobotState(i, succ.robot_x[i], succ.robot_y[i], cfg.speed,
                          succ.robot_targets[i], succ.robot_remaining[i])
             for i in range(cfg.n_robots)
         ]
@@ -179,7 +179,12 @@ def _carried_and_rebuilt(monkeypatch, scen, cfg, likelihoods=None):
 
 
 def _same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    """Two tuples of python floats with the same bits, sign of zero included."""
+    return (
+        type(a) is type(b) is tuple
+        and len(a) == len(b)
+        and all(type(x) is type(y) is float and x.hex() == y.hex() for x, y in zip(a, b))
+    )
 
 
 def _kept_progress(state):
@@ -202,7 +207,7 @@ class TestCarriedState:
             assert carried.robot_targets == rebuilt.robot_targets
             assert carried.robot_remaining == rebuilt.robot_remaining
             assert carried.elapsed == rebuilt.elapsed
-            for name in ("poi_xy", "inspect_times", "likelihoods", "robot_xy", "robot_speeds"):
+            for name in ("poi_x", "poi_y", "inspect_times", "likelihoods", "robot_x", "robot_y", "robot_speeds"):
                 assert _same_bits(getattr(carried, name), getattr(rebuilt, name)), name
         if n_pois == 36 and n_robots > 1:
             # these missions carry part-done inspections across reveals
@@ -217,6 +222,50 @@ class TestCarriedState:
         assert _kept_progress(carried)
         assert carried.robot_targets == rebuilt.robot_targets == (0, None)
         assert carried.robot_remaining == rebuilt.robot_remaining == (20.0, 0.0)
+
+
+def _numpy_team_distance(before, after):
+    """The team's distance over one step as the array expression the
+    simulator used before its states held python floats."""
+    a = np.array([before.robot_x, before.robot_y]).T
+    b = np.array([after.robot_x, after.robot_y]).T
+    step = b - a
+    return float(np.sqrt((step * step).sum(axis=1)).sum())
+
+
+class TestMissionDistance:
+    @pytest.mark.parametrize("n_robots", range(1, 13))
+    def test_equals_the_numpy_expression(self, monkeypatch, n_robots):
+        steps = []
+        real_outcome = sim.action_outcome
+
+        def outcome(state, action):
+            out = real_outcome(state, action)
+            steps.append((state, out.successor))
+            return out
+
+        monkeypatch.setattr(sim, "action_outcome", outcome)
+        for planner in ("optimistic", "greedy"):
+            del steps[:]
+            trace = run_mission(m.generate_scenario(40 + n_robots, 12),
+                                MissionConfig(planner=planner, n_robots=n_robots))
+            dist = 0.0
+            for (before, after), point in zip(steps, trace.cost_curve[1:]):
+                dist += _numpy_team_distance(before, after)
+                assert point.distance_traveled.hex() == dist.hex()
+            assert trace.total_distance.hex() == dist.hex()
+
+    def test_team_distance_on_random_steps(self):
+        # From 8 robots numpy sums pairwise, which differs from a left to
+        # right sum on about a third of these draws.
+        rng = np.random.default_rng(8)
+        for n_robots in range(1, 13):
+            for _ in range(300):
+                xy = rng.uniform(-500.0, 500.0, size=(4, n_robots)) * rng.choice([1e-3, 1.0, 1e3])
+                before = m.make_state([], [m.RobotState(i, xy[0, i], xy[1, i]) for i in range(n_robots)])
+                after = m.make_state([], [m.RobotState(i, xy[2, i], xy[3, i]) for i in range(n_robots)])
+                got = sim._team_distance(before, after)
+                assert got.hex() == _numpy_team_distance(before, after).hex()
 
 
 class TestCostAccounting:
