@@ -541,25 +541,24 @@ class TestPrioritySubset:
             st = _state_from(pois, robots)
             assert m.select_priority_subset(st, cfg) == _subset_rule(st, cfg)
 
-
-def test_travel_rows_match_the_numpy_matrix():
-    # the priority subset's travel times, bit for bit against the array
-    # expression it used before the state held python floats
-    rng = random.Random(5151)
-    mixed = 0
-    for _ in range(300):
-        pois = [(pid, rng.uniform(-500, 500), rng.choice([rng.uniform(-500, 500), -0.0, float(rng.randint(-3, 3))]),
-                 0.0, 0.5)
-                for pid in rng.sample(range(100), rng.randint(1, 40))]
-        robots = [[rng.uniform(-500, 500), rng.choice([rng.uniform(-500, 500), float(rng.randint(-3, 3))]),
-                   rng.choice([1.0, 0.5, 3.0, rng.uniform(0.1, 5.0)])]
-                  for _ in range(rng.randint(1, 7))]
-        st = _state_from(pois, robots)
-        rows = _travel_rows(st.robot_x, st.robot_y, st.robot_speeds, st.poi_x, st.poi_y)
-        want = reference._travel_matrix(st).tolist()
-        assert [[t.hex() for t in row] for row in rows] == [[t.hex() for t in row] for row in want]
-        mixed += len(set(st.robot_speeds)) > 1
-    assert mixed >= 100
+    def test_travel_rows_match_the_numpy_matrix(self):
+        # the priority subset's travel times, bit for bit against the array
+        # expression it used before the state held python floats
+        rng = random.Random(5151)
+        mixed = 0
+        for _ in range(300):
+            pois = [(pid, rng.uniform(-500, 500),
+                     rng.choice([rng.uniform(-500, 500), -0.0, float(rng.randint(-3, 3))]), 0.0, 0.5)
+                    for pid in rng.sample(range(100), rng.randint(1, 40))]
+            robots = [[rng.uniform(-500, 500), rng.choice([rng.uniform(-500, 500), float(rng.randint(-3, 3))]),
+                       rng.choice([1.0, 0.5, 3.0, rng.uniform(0.1, 5.0)])]
+                      for _ in range(rng.randint(1, 7))]
+            st = _state_from(pois, robots)
+            rows = _travel_rows(st.robot_x, st.robot_y, st.robot_speeds, st.poi_x, st.poi_y)
+            want = reference._travel_matrix(st).tolist()
+            assert [[t.hex() for t in row] for row in rows] == [[t.hex() for t in row] for row in want]
+            mixed += len(set(st.robot_speeds)) > 1
+        assert mixed >= 100
 
 
 def _subset_rule(state, cfg):
