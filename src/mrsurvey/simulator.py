@@ -135,22 +135,15 @@ def _dispatch(name: str, config: PlannerConfig):
 def _team_distance(before: PlanningState, after: PlanningState) -> float:
     """The length of every robot's leg between two states, summed.
 
-    The distance used to be numpy's sum of the legs.  Below 8 legs that
-    sum adds them left to right, so a plain loop in robot order gives the
-    same bits (the builtin sum() compensates from Python 3.12 on); from 8
-    on numpy sums pairwise, so its sum is kept.
+    numpy adds the legs, as it always has: left to right below 8 legs and
+    pairwise from 8 on, so the outputs keep their bits at every team size.
     """
     legs = []
     for x0, y0, x1, y1 in zip(before.robot_x, before.robot_y, after.robot_x, after.robot_y):
         dx = x1 - x0
         dy = y1 - y0
         legs.append(math.sqrt(dx * dx + dy * dy))
-    if len(legs) >= 8:
-        return float(np.sum(legs))
-    total = 0.0
-    for leg in legs:
-        total += leg
-    return total
+    return float(np.sum(legs))
 
 
 def run_mission(

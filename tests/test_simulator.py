@@ -257,7 +257,8 @@ class TestMissionDistance:
 
     def test_team_distance_on_random_steps(self):
         # From 8 robots numpy sums pairwise, which differs from a left to
-        # right sum on about a third of these draws.
+        # right sum on about a third of these draws, so both sides of 8
+        # are drawn.
         rng = np.random.default_rng(8)
         for n_robots in range(1, 13):
             for _ in range(300):
