@@ -66,8 +66,13 @@ def predict(params: FittedParams, scenario: Scenario) -> Dict[int, float]:
     """Per-PoI damage probabilities under fitted parameters.
 
     Uses the scenario's (possibly jittered) wind-pocket observations and
-    the noisy-OR combination.
+    the noisy-OR combination.  Parameters are checked like generative
+    ones: sigma_hat must be finite and positive, and every PoI class
+    needs a susceptibility in [0, 1]; anything else raises ValueError.
     """
+    missing = [cls for cls in POI_CLASSES if cls not in params.susceptibility_hat]
+    if missing:
+        raise ValueError(f"fitted parameters have no susceptibility for classes {missing}")
     gen = GenerativeParams(
         sigma=params.sigma_hat,
         susceptibility=dict(params.susceptibility_hat),
@@ -75,6 +80,7 @@ def predict(params: FittedParams, scenario: Scenario) -> Dict[int, float]:
         map_radius=scenario.params.map_radius,
         combine_rule="noisy_or",
     )
+    gen.validate()
     return {
         poi.id: damage_probability(poi.position, poi.poi_class, scenario.wind_pockets, gen)
         for poi in scenario.pois

@@ -21,11 +21,12 @@ possible arrival and respects in-flight targets and inspection
 progress.  Depth counts reveals; at depth_cap a greedy nearest-PoI
 rollout completes the value, with the same nearest claim
 (`_claim_nearest`) as the optimistic baseline.  That tail stops as soon
-as its cost passes the incumbent, which cannot change the result.  The
-tail re-claims the nearest PoI every segment while the bound assumes
-committed robots finish their targets, so pruning is exact only when no
-tail runs.  With more PoIs than n_priority, planning restricts itself
-to a priority subset (top likelihoods plus nearest-per-robot fill).
+as its cost passes the incumbent, which cannot change the result.  With
+at least depth_cap + n_robots PoIs the bound assumes committed robots
+finish their targets while the tail re-claims the nearest PoI every
+segment, so pruning is exact only with fewer.  With more PoIs than
+n_priority, planning restricts itself to a priority subset (top
+likelihoods plus nearest-per-robot fill).
 
 Each travel time is computed once: the nearest claim and the search's
 travel rows hand theirs to `_step`.  Nodes that share a remaining PoI
@@ -223,9 +224,10 @@ class NodeRecord:
     each committed robot still needs at its target.  bound is the
     position-only chain bound: accrued plus cost_rate times the sum over
     PoIs of likelihood times (earliest straight-line arrival plus the
-    least inspection time any robot still needs there).  That is the
-    bound the search prunes with wherever no greedy tail runs, and not
-    the commitment-aware form it may prune with where one does.
+    least inspection time any robot still needs there).  The search
+    prunes with this form when the searched subset has fewer than
+    depth_cap + n_robots PoIs, and with the commitment-aware form when
+    it has at least that many.
     """
 
     poi_ids: Tuple[int, ...]
@@ -474,14 +476,6 @@ def _tail(
 # --- depth-first branch and bound ---------------------------------------------
 
 
-class _SearchStats:
-    __slots__ = ("nodes_expanded", "children_pruned")
-
-    def __init__(self) -> None:
-        self.nodes_expanded = 0
-        self.children_pruned = 0
-
-
 def _travel_rows(
     rx: Sequence[float], ry: Sequence[float], spd: Sequence[float], xs: Sequence[float], ys: Sequence[float]
 ) -> List[List[float]]:
@@ -524,10 +518,12 @@ def _column_min(rows: Sequence[List[float]], n: int) -> List[float]:
 def _search(
     state: PlanningState,
     config: PlannerConfig,
-    stats: _SearchStats,
     node_log: Optional[List[NodeRecord]],
-) -> Tuple[float, Tuple[int, ...]]:
+) -> Tuple[float, Tuple[int, ...], int, int]:
     """Branch-and-bound minimum over assignment/reveal sequences.
+
+    Returns the cost, the root target tuple, the nodes expanded and the
+    children pruned.
 
     Nodes alternate between commitment layers (the lowest-index free
     robot picks an unclaimed PoI, or any remaining one once all are
@@ -541,18 +537,24 @@ def _search(
 
     Pruning uses one admissible completion bound, the chain bound: each
     remaining PoI is charged its earliest possible arrival plus the
-    least inspection time any robot still needs there.  Committed robots
-    must finish their target first, free robots travel straight.
-    Commitment-aware arrivals are only valid while targets stay singly
-    claimed, so the bound falls back to the position-only form whenever
-    duplicate claims could occur below the node.  The state lives in
-    plain python lists because segments are tiny and interpreter
-    arithmetic beats array dispatch here.
+    least inspection time any robot still needs there.  Its
+    commitment-aware form makes committed robots finish their target
+    first; its position-only form lets every robot travel straight.
+    The reveals made plus the PoIs left always equal n, so the form is
+    fixed for the whole search: commitment-aware exactly when the
+    searched subset has at least depth_cap + n_robots PoIs.  Then every
+    node above the cap has more PoIs than robots, so targets stay
+    singly claimed, which the commitment-aware form needs.  Each
+    segment's bound is computed once, when its node is made; the
+    position-only layers under it reuse it.  The state lives in plain
+    python lists because segments are tiny and interpreter arithmetic
+    beats array dispatch here.
     """
     n, n_rob = state.n_pois, state.n_robots
     k_rate = config.cost_rate
     do_prune = config.prune
     cap = config.depth_cap
+    aware = do_prune and n >= cap + n_rob
     rng_rob = range(n_rob)
 
     pids0, xs0, ys0, insp0, lik0, rx0, ry0, spd0, tgt0, rem0 = _scalars(state)
@@ -583,33 +585,26 @@ def _search(
 
     def reveal(lay, g):
         # The layout without row g.
-        pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, _ = lay
-        dpp2 = dpp_s[:g] + dpp_s[g + 1:]
+        dpp2 = lay[5][:g] + lay[5][g + 1:]
         for i, row in enumerate(dpp2):
             row = row[:]
             del row[g]
             dpp2[i] = row
-        return layout(
-            pids_s[:g] + pids_s[g + 1:],
-            xs_s[:g] + xs_s[g + 1:],
-            ys_s[:g] + ys_s[g + 1:],
-            insp_s[:g] + insp_s[g + 1:],
-            lik_s[:g] + lik_s[g + 1:],
-            dpp2,
-        )
+        return layout(*[col[:g] + col[g + 1:] for col in lay[:5]], dpp2)
 
-    def make_seg(lay, need_s, trow_s):
+    def make_seg(lay, need_s, trow_s, arr_s, acc):
         # A node's segment: its layout and travel rows, the inspection
-        # term, and the child layouts its reveals share.
+        # term, the child layouts its reveals share, and its chain bound
+        # (on the arrivals arr_s in the commitment-aware form).
         sum_ir = 0.0
         for p, q in zip(lay[4], need_s):
             sum_ir += p * q
-        return (lay, trow_s, sum_ir, {})
+        b = chain_bound(acc, arr_s if aware else trow_s, lay[4], sum_ir) if do_prune else None
+        return (lay, trow_s, sum_ir, {}, b)
 
-    def log_node(pids_s, lik_s, need_s, trow_s, rx, ry, targ, rem, acc):
-        s = 0.0
-        for p, m, q in zip(lik_s, _column_min(trow_s, len(pids_s)), need_s):
-            s += p * (m + q)
+    def log_node(seg, rx, ry, targ, rem, acc):
+        lay, trow_s, sum_ir = seg[:3]
+        pids_s = lay[0]
         node_log.append(
             NodeRecord(
                 poi_ids=tuple(pids_s),
@@ -618,7 +613,7 @@ def _search(
                 robot_targets=tuple(None if t < 0 else pids_s[t] for t in targ),
                 robot_remaining=tuple(0.0 if t < 0 else q for t, q in zip(targ, rem)),
                 accrued=acc,
-                bound=acc + k_rate * s,
+                bound=chain_bound(acc, trow_s, lay[4], sum_ir),  # position-only
             )
         )
 
@@ -637,17 +632,12 @@ def _search(
 
     best_cost = math.inf
     best_tuple: Optional[Tuple[int, ...]] = None
-
-    def leaf_update(value: float, root_tuple: Tuple[int, ...]) -> None:
-        nonlocal best_cost, best_tuple
-        if value < best_cost:
-            best_cost = value
-            best_tuple = root_tuple
-        elif value == best_cost and best_tuple is not None and root_tuple < best_tuple:
-            best_tuple = root_tuple
+    nodes_expanded = 0
+    children_pruned = 0
 
     def assign(seg, targ, rem, prx, pry, arr, accrued, reveals, prefix):
-        lay, trow_s, sum_ir, _ = seg
+        nonlocal nodes_expanded, children_pruned
+        lay, trow_s, sum_ir, _, seg_bound = seg
         pids_s, _, _, insp_s, lik_s, dpp_s, _ = lay
         na = len(pids_s)
         j = -1
@@ -658,7 +648,7 @@ def _search(
         if j < 0:
             advance(seg, targ, rem, prx, pry, accrued, reveals, prefix)
             return
-        stats.nodes_expanded += 1
+        nodes_expanded += 1
 
         # Only at the root can a free robot hold progress; a robot freed
         # by a reveal starts its next inspection from zero.
@@ -692,59 +682,46 @@ def _search(
             ):
                 lo = t
         unclaimed = [i for i in range(na) if i not in committed]
-        if unclaimed:
-            # Ascending canonicalization only holds where targets are
-            # pairwise distinct; duplicate layers enumerate freely.
-            choices = [i for i in unclaimed if i > lo]
-            duplicating = False
-        else:
-            choices = list(range(na))
-            duplicating = True
+        # Ascending canonicalization only holds where targets are
+        # pairwise distinct; duplicate layers enumerate freely.
+        choices = [i for i in unclaimed if i > lo] if unclaimed else list(range(na))
         if not choices:
             return  # symmetric classes here are covered by other branches
 
         rowj = trow_s[j]
-        if do_prune:
-            reveals_left = cap - reveals
-            if reveals_left > na:
-                reveals_left = na
-            if na - reveals_left >= n_rob and not duplicating:
-                # Commitment-aware arrivals are only admissible while
-                # targets stay singly claimed below this node.  Each
-                # choice is priced on the arrivals `_commit_row` would
-                # give, without building the row: only entered children
-                # need it.
-                om = _column_min([arr[r] for r in rng_rob if r != j], na)
-                bnds = []
-                for c in choices:
-                    tc = rowj[c]
-                    fin = tc + (rj if c == tj else insp_s[c])
-                    dc = dpp_s[c]
-                    s = 0.0
-                    for l in range(c):
-                        f = fin + dc[l] / vj
-                        o = om[l]
-                        s += lik_s[l] * (o if o < f else f)
-                    o = om[c]
-                    s += lik_s[c] * (o if o < tc else tc)
-                    for l in range(c + 1, na):
-                        f = fin + dc[l] / vj
-                        o = om[l]
-                        s += lik_s[l] * (o if o < f else f)
-                    bnds.append(accrued + k_rate * (sum_ir + s))
-            else:
-                bnds = [chain_bound(accrued, trow_s, lik_s, sum_ir)] * len(choices)
+        if aware:
+            # Each choice is priced on the arrivals `_commit_row` would
+            # give, without building the row: only entered children
+            # need it.
+            om = _column_min([arr[r] for r in rng_rob if r != j], na)
+            bnds = []
+            for c in choices:
+                tc = rowj[c]
+                fin = tc + (rj if c == tj else insp_s[c])
+                dc = dpp_s[c]
+                s = 0.0
+                for l in range(c):
+                    f = fin + dc[l] / vj
+                    o = om[l]
+                    s += lik_s[l] * (o if o < f else f)
+                o = om[c]
+                s += lik_s[c] * (o if o < tc else tc)
+                for l in range(c + 1, na):
+                    f = fin + dc[l] / vj
+                    o = om[l]
+                    s += lik_s[l] * (o if o < f else f)
+                bnds.append(accrued + k_rate * (sum_ir + s))
             seq = sorted(range(len(choices)), key=bnds.__getitem__)
         else:
-            bnds = None
+            # Position-only: every choice shares the segment's bound.
             seq = range(len(choices))
 
         for oi, pos_k in enumerate(seq):
             c = choices[pos_k]
             if do_prune:
-                b = bnds[pos_k]
+                b = bnds[pos_k] if aware else seg_bound
                 if beaten(b):
-                    stats.children_pruned += len(choices) - oi
+                    children_pruned += len(choices) - oi
                     break
                 if b == best_cost and b == accrued:
                     # Exactly-zero completion bound: the subtree can
@@ -756,10 +733,10 @@ def _search(
                             cand = prefix + (pids_s[c],)
                             head = best_tuple[: len(cand)]
                             if cand > head or (cand == head and len(cand) == n_rob):
-                                stats.children_pruned += 1
+                                children_pruned += 1
                                 continue
                         elif prefix >= best_tuple:
-                            stats.children_pruned += 1
+                            children_pruned += 1
                             continue
             need = rj if c == tj else insp_s[c]
             targ[j] = c
@@ -771,9 +748,10 @@ def _search(
             targ[j] = -1
 
     def advance(seg, targ, rem, prx, pry, accrued, reveals, prefix):
-        lay, trow_s, _, kids = seg
-        pids_s, xs_s, ys_s, insp_s, lik_s, _, psum = lay
-        stats.nodes_expanded += 1
+        nonlocal best_cost, best_tuple, nodes_expanded
+        lay, trow_s, _, kids = seg[:4]
+        pids_s, xs_s, ys_s, _, _, _, psum = lay
+        nodes_expanded += 1
 
         # Survivors keep their targets, re-indexed past the revealed PoI.
         # The travel rows were built from these very positions.
@@ -794,43 +772,36 @@ def _search(
                 # result, so it stops there.
                 robots = sorted(zip(nprx, npry, spd0, targ2, rem2))
                 value += _tail(
-                    pids_s[:g] + pids_s[g + 1:],
-                    xs_s[:g] + xs_s[g + 1:],
-                    ys_s[:g] + ys_s[g + 1:],
-                    insp_s[:g] + insp_s[g + 1:],
-                    lik_s[:g] + lik_s[g + 1:],
+                    *[col[:g] + col[g + 1:] for col in lay[:5]],
                     *map(list, zip(*robots)),
                     k_rate,
                     acc2,
                     best_cost,
                 )
-            leaf_update(value, prefix)
+            if value < best_cost:
+                best_cost = value
+                best_tuple = prefix
+            elif value == best_cost and best_tuple is not None and prefix < best_tuple:
+                best_tuple = prefix
             return
 
         # Siblings that reveal the same PoI share the child layout.
         lay2 = kids.get(g)
         if lay2 is None:
             lay2 = kids[g] = reveal(lay, g)
-        pids2, xs2, ys2, insp2, lik2, dpp2 = lay2[:6]
+        _, xs2, ys2, insp2, _, dpp2 = lay2[:6]
         trow2 = _travel_rows(nprx, npry, spd0, xs2, ys2)
-        need2 = _least_need(insp2, targ2, rem2)
-        seg2 = make_seg(lay2, need2, trow2)
         arr2 = [
             trow2[r] if t < 0 else _commit_row(trow2[r], t, rem2[r], dpp2[t], spd0[r])
             for r, t in enumerate(targ2)
         ]
+        seg2 = make_seg(lay2, _least_need(insp2, targ2, rem2), trow2, arr2, acc2)
 
         if node_log is not None:
-            log_node(pids2, lik2, need2, trow2, nprx, npry, targ2, rem2, acc2)
+            log_node(seg2, nprx, npry, targ2, rem2, acc2)
 
         if do_prune:
-            # Commitment-aware arrivals are only admissible while targets
-            # stay singly claimed below this node; otherwise bound on
-            # positions alone.
-            rl2 = cap - reveals2
-            if rl2 > a2:
-                rl2 = a2
-            nb = chain_bound(acc2, arr2 if a2 - rl2 >= n_rob else trow2, lik2, seg2[2])
+            nb = seg2[4]
             if beaten(nb):
                 return
             if nb == best_cost and nb == acc2 and best_tuple is not None and prefix >= best_tuple:
@@ -838,18 +809,19 @@ def _search(
 
         assign(seg2, targ2, rem2, nprx, npry, arr2, acc2, reveals2, prefix)
 
+    # Every robot is free at the root, so both forms of its bound agree.
     trow0 = _travel_rows(rx0, ry0, spd0, xs0, ys0)
-    need0 = _least_need(insp0, tgt0, rem0)
+    lay0 = layout(pids0, xs0, ys0, insp0, lik0, dpp0)
+    seg0 = make_seg(lay0, _least_need(insp0, tgt0, rem0), trow0, trow0, 0.0)
     if node_log is not None:
-        log_node(pids0, lik0, need0, trow0, rx0, ry0, tgt0, rem0, 0.0)
-    seg0 = make_seg(layout(pids0, xs0, ys0, insp0, lik0, dpp0), need0, trow0)
+        log_node(seg0, rx0, ry0, tgt0, rem0, 0.0)
 
     # No incumbent seeding: children are visited in bound order, so the
     # first descent already lands on a realized route and every later
     # node prunes against an achievable cost.
     assign(seg0, [-1] * n_rob, [0.0] * n_rob, rx0[:], ry0[:], list(trow0), 0.0, 0, ())
     assert best_tuple is not None
-    return best_cost, best_tuple
+    return best_cost, best_tuple, nodes_expanded, children_pruned
 
 
 def select_priority_subset(state: PlanningState, config: PlannerConfig) -> Tuple[int, ...]:
@@ -913,24 +885,24 @@ def plan_detailed(
     NodeRecord for the root and for every state a reveal reaches before
     the depth cap, the root first.
 
-    Pruning is exact only when no greedy tail runs, that is when
-    depth_cap is at least the number of PoIs searched.  Below the cap,
-    the commitment-aware bound assumes committed robots finish their
-    targets, while the tail re-claims the nearest PoI every segment, so
-    a leaf can cost less than its bound and pruning can change the
-    result.
+    The search prunes with the commitment-aware chain bound exactly
+    when the searched subset has at least depth_cap + n_robots PoIs, and
+    with the position-only form otherwise.  Only the position-only form
+    is exact: the commitment-aware form assumes committed robots finish
+    their targets, while the greedy tail re-claims the nearest PoI every
+    segment, so a leaf can cost less than its bound and pruning can
+    change the result.
     """
     config.validate()
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
     subset = select_priority_subset(state, config)
     sub = state.subset(subset) if len(subset) < state.n_pois else state
-    stats = _SearchStats()
-    cost, targets = _search(sub, config, stats, node_log)
+    cost, targets, nodes, pruned = _search(sub, config, node_log)
     return PlanResult(
         action=JointAction(targets),
         cost=float(cost),
-        nodes_expanded=stats.nodes_expanded,
-        children_pruned=stats.children_pruned,
+        nodes_expanded=nodes,
+        children_pruned=pruned,
         subset_ids=subset,
     )

@@ -188,7 +188,12 @@ def run_mission(
         duration = outcome.duration
         dist += _team_distance(state, outcome.successor)
 
-        exp_acc += k_rate * duration * sum(raw[pid] for pid in state.poi_ids)
+        # A left-to-right sum, like the planner's: the builtin sum
+        # compensates from Python 3.12 on and would move the last bits.
+        psum = 0.0
+        for pid in state.poi_ids:
+            psum += raw[pid]
+        exp_acc += k_rate * duration * psum
         real_acc += k_rate * duration * sum(1 for pid in state.poi_ids if pois[pid].damaged)
         t += duration
 

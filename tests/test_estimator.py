@@ -311,6 +311,23 @@ class TestPlumbing:
         write_fitted(TRUE_PARAMS, str(path))
         assert resolve_likelihoods(scen, f"fitted:{path}") == predict(TRUE_PARAMS, scen)
 
+    @pytest.mark.parametrize("edit", [
+        {"sigma_hat": 0.0},
+        {"sigma_hat": math.nan},
+        {"sigma_hat": math.inf},
+        {"susceptibility_hat": {"forest": 3.0, "field": 0.8, "building": 0.2}},
+        {"susceptibility_hat": {"forest": 1.0, "field": -0.5, "building": 0.2}},
+        {"susceptibility_hat": {"forest": 1.0, "field": 0.8, "building": math.nan}},
+        {"susceptibility_hat": {"forest": 1.0, "field": 0.8}},
+    ], ids=["sigma0", "sigma_nan", "sigma_inf", "susc_above_1", "susc_below_0", "susc_nan", "class_missing"])
+    def test_resolve_fitted_rejects_invalid_parameters(self, tmp_path, edit):
+        # one forest PoI: a bad value of another class is still rejected
+        scen = _manual_scenario([PoI(id=0, x=30.0, y=0.0, poi_class="forest")], [WindPocket(0.0, 0.0)])
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(fitted_to_dict(TRUE_PARAMS) | edit))
+        with pytest.raises(ValueError):
+            resolve_likelihoods(scen, f"fitted:{path}")
+
     def test_resolve_external_flat_and_nested(self, tmp_path):
         scen = generate_scenario(5, 3)
         ids = [p.id for p in scen.pois]

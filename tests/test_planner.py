@@ -466,10 +466,19 @@ class TestLowerBound:
             opt, _ = reference.route_space_optimum(pois, robots, progress=progress)
             bound = reference.lower_bound(st, 0.0)
             assert bound <= opt + 1e-9
-            # the oracle is the position-only bound the search logs at its root
+            # the oracle is the position-only bound the search logs at
+            # its root and at every node a reveal reaches
             log = []
             m.plan_detailed(st, CFG6, node_log=log)
             assert abs(log[0].bound - bound) <= 1e-9
+            info = {p[0]: p for p in pois}
+            for rec in log:
+                node = _state_from(
+                    [info[pid] for pid in rec.poi_ids],
+                    [[x, y, v] for (x, y), v in zip(rec.robot_xy, rec.robot_speeds)],
+                    [None if t is None else (t, q) for t, q in zip(rec.robot_targets, rec.robot_remaining)],
+                )
+                assert abs(rec.bound - reference.lower_bound(node, rec.accrued)) <= 1e-9
 
     def test_counts_progress(self):
         st = _state_from([(7, 3.0, 4.0, 2.0, 0.6)], [[3, 4, 1], [0, 0, 1]], [(7, 0.5), None])
@@ -728,6 +737,11 @@ PINNED_SEARCHES = [
     (8, 20, 3, 4, True, (19, 6, 11), 664.6534063637775, 1714, 5720),
     (9, 6, 1, 1, False, (3,), 358.14316416550355, 291, 0),
     (10, 6, 3, 2, False, (4, 0, 2), 52.936247228453325, 286, 0),
+    # Either side of n_pois == depth_cap + n_robots, where the search
+    # switches between the position-only and the commitment-aware bound.
+    (11, 7, 3, 0, True, (0, 4, 6), 830.6181977245645, 124, 112),
+    (12, 6, 3, 0, True, (0, 4, 5), 623.6770192105738, 188, 0),
+    (13, 8, 5, 0, True, (0, 4, 1, 7, 5), 644.3978455140174, 3028, 0),
 ]
 
 
@@ -747,6 +761,12 @@ class TestPinnedSearch:
         assert {c[2] for _, c in states} == {1, 3, 5}
         assert any(st.n_pois > m.PlannerConfig().n_priority for st, _ in states)
         assert sum(not c[4] for _, c in states) == 2
+        # pruned searches on both sides of the bound's switch point, at
+        # 3 and at 5 robots
+        cap = m.PlannerConfig().depth_cap
+        for aware in (True, False):
+            assert {c[2] for st, c in states
+                    if c[4] and (st.n_pois >= cap + st.n_robots) == aware} >= {3, 5}
         # part-way inspections: committed robots with less than the full time left
         assert any(
             t is not None and q < st.inspect_times[st.index_of(t)]

@@ -287,6 +287,35 @@ class TestCostAccounting:
         want = sum(lik[pid] * t for t, pid, _ in trace.reveal_log)
         assert abs(trace.total_expected_cost - want) <= 1e-6 * max(1.0, want)
 
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_expected_cost_sums_left_to_right(self, monkeypatch, skewed):
+        # The skewed map puts 1.0 on the first PoI and 1e-16 on the rest,
+        # where a compensated sum (the builtin sum from Python 3.12 on)
+        # differs from a left-to-right one.
+        steps = []
+        real_outcome = sim.action_outcome
+
+        def outcome(state, action):
+            out = real_outcome(state, action)
+            steps.append((state.poi_ids, out.duration))
+            return out
+
+        monkeypatch.setattr(sim, "action_outcome", outcome)
+        scen = m.generate_scenario(26, 12)
+        lik = m.oracle_likelihoods(scen)
+        if skewed:
+            first = min(lik)
+            lik = {pid: 1.0 if pid == first else 1e-16 for pid in lik}
+        trace = run_mission(scen, MissionConfig(planner="greedy", n_robots=2), likelihoods=lik)
+        acc = 0.0
+        for (ids, duration), point in zip(steps, trace.cost_curve[1:]):
+            psum = 0.0
+            for pid in ids:
+                psum += lik[pid]
+            acc += duration * psum
+            assert point.expected_cost_accrued.hex() == acc.hex()
+        assert trace.total_expected_cost.hex() == acc.hex()
+
     def test_curve_monotone_and_closed_out(self):
         scen = m.generate_scenario(25, 8)
         trace = run_mission(scen, MissionConfig(planner="greedy", n_robots=3))
