@@ -10,6 +10,16 @@ Two interchangeable sources of per-PoI damage probabilities:
 The fitted family is the noisy-OR Gaussian falloff model regardless of
 the generative combine_rule knob; mis-specification under the "max"
 ablation is deliberate.
+
+The fit keeps its training data pocket-major, one column per PoI, in
+two orders: all PoIs with the undamaged ones first (for the sigma
+search) and the same columns class by class (for the susceptibility
+searches).  Each likelihood probe then reads contiguous slices where
+it would otherwise gather rows.  The order of the columns changes no
+bit of the result: every element goes through the same ufuncs, each
+PoI's pocket terms are added in pocket order as before, and each sum
+over PoIs meets the same values in the same order as in reading order,
+since both layouts keep reading order within every group.
 """
 
 from __future__ import annotations
@@ -138,95 +148,123 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> Tuple[float, float]
 
 
 class _TrainingSet:
-    """(distances^2, class, damaged) arrays over all PoIs of the training worlds.
+    """The training worlds' PoIs as pocket-major arrays, rows in two orders.
 
-    Reads the worlds once, one at a time, and keeps only flat arrays, so
-    the caller may stream them.  Rows are padded with inf distances to
-    the widest pocket count.
+    Reads the worlds once, one at a time, so the caller may stream them,
+    and keeps two (pockets, rows) arrays of negated squared pocket
+    distances, padded with -inf up to the widest pocket count:
+
+    * neg_d_sq: every PoI, the undamaged ones first and then the damaged
+      ones, each group in reading order; class_idx gives each column's
+      class and n_miss the undamaged count;
+    * by_class: the same columns class by class, each class's undamaged
+      PoIs before its damaged ones, in reading order; class_spans gives
+      each class's (start, stop, undamaged count).
+
+    A likelihood then reads its undamaged and damaged terms, and each
+    class reads its columns, as contiguous slices instead of gathering
+    rows.  The fit keeps the bits it has on rows in reading order: a
+    negated distance is the value np.negative gives, the -inf padding is
+    the negated inf padding, and a sum over a slice meets the same values
+    in the same order as a sum over the gathered rows, since every group
+    keeps reading order.
     """
 
     def __init__(self, scenarios: Iterable[Scenario]):
-        flat_d_sq = array("d")
-        widths = array("q")
-        class_idx = array("q")
-        damaged = array("B")
+        # Per damaged flag: the flat distances row by row, pocket counts
+        # and classes, in reading order.
+        groups = [(array("d"), array("q"), array("q")) for _ in range(2)]
         for s in scenarios:
             for poi in s.pois:
-                flat_d_sq.extend(
-                    (poi.x - pk.x) ** 2 + (poi.y - pk.y) ** 2 for pk in s.wind_pockets
+                flat, widths, classes = groups[poi.damaged]
+                flat.extend(
+                    -((poi.x - pk.x) ** 2 + (poi.y - pk.y) ** 2) for pk in s.wind_pockets
                 )
                 widths.append(len(s.wind_pockets))
-                class_idx.append(POI_CLASSES.index(poi.poi_class))
-                damaged.append(poi.damaged)
-        widths_np = np.asarray(widths, dtype=int)
-        max_pockets = int(widths_np.max(initial=0))
-        self.d_sq = np.full((len(widths_np), max_pockets), math.inf)
-        # A row-major boolean mask takes the flat values row by row.
-        self.d_sq[np.arange(max_pockets) < widths_np[:, None]] = np.asarray(flat_d_sq, dtype=float)
-        self.class_idx = np.asarray(class_idx, dtype=int)
-        self.damaged = np.asarray(damaged, dtype=bool)
-        self.hit, self.miss = _split(self.damaged)
-        self.class_rows = [np.nonzero(self.class_idx == c)[0] for c in range(len(POI_CLASSES))]
-        self.class_split = [_split(self.damaged[rows]) for rows in self.class_rows]
+                classes.append(POI_CLASSES.index(poi.poi_class))
+        self.n_miss = len(groups[0][1])
+        max_pockets = max(max(widths, default=0) for _, widths, _ in groups)
+        self.neg_d_sq = np.full((max_pockets, self.n_miss + len(groups[1][1])), -math.inf)
+        for (flat, widths, _), block in zip(groups, np.split(self.neg_d_sq, [self.n_miss], axis=1)):
+            # A row-major mask over the transposed block takes the flat
+            # values PoI by PoI.
+            mask = np.arange(max_pockets) < np.asarray(widths, dtype=int)[:, None]
+            block.T[mask] = np.asarray(flat, dtype=float)
+        self.class_idx = np.concatenate([np.asarray(classes, dtype=int) for _, _, classes in groups])
+        # A stable sort on (class, damaged) orders the columns by class.
+        key = 2 * self.class_idx
+        key[self.n_miss:] += 1
+        self.by_class = np.take(self.neg_d_sq, np.argsort(key, kind="stable"), axis=1)
+        self.class_spans = []
+        start = 0
+        for n_miss_c, n_hit_c in np.bincount(key, minlength=2 * len(POI_CLASSES)).reshape(-1, 2).tolist():
+            self.class_spans.append((start, start + n_miss_c + n_hit_c, n_miss_c))
+            start += n_miss_c + n_hit_c
 
-    def gauss(self, sigma: float) -> np.ndarray:
-        # exp(-inf) = 0 handles the padding columns.
-        g = np.negative(self.d_sq)
-        np.divide(g, 2.0 * sigma * sigma, out=g)
+
+class _Likelihood:
+    """The fit's one log-likelihood evaluator, on pocket-major columns.
+
+    Works in buffers that every probe reuses: two of the training arrays'
+    shape, one for the Gaussian falloff and one for the per-pocket terms,
+    and log_q, which holds each PoI's log P(no damage) from the last
+    log_likelihood call.
+    """
+
+    def __init__(self, shape: Tuple[int, int]):
+        self._g = np.empty(shape)
+        self._t = np.empty(shape)
+        self.log_q = np.empty(shape[1])
+
+    def falloff(self, neg_d_sq: np.ndarray, sigma: float) -> np.ndarray:
+        """exp(-d^2 / (2 sigma^2)) per pocket and PoI, in the first buffer.
+
+        exp(-inf) = 0 handles the padding.
+        """
+        g = self._g
+        np.divide(neg_d_sq, 2.0 * sigma * sigma, out=g)
         with np.errstate(under="ignore"):
             return np.exp(g, out=g)
 
+    def log_likelihood(self, g: np.ndarray, s, n_miss: int) -> float:
+        """Log-likelihood of damaged flags under noisy-OR with factors s * g.
 
-def _split(damaged: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Indices of the damaged and of the undamaged rows, each ascending."""
-    return np.flatnonzero(damaged), np.flatnonzero(~damaged)
+        Args:
+            g: (n_pockets, n) Gaussian falloff, a column slice of falloff().
+            s: (n,) susceptibility per PoI (already class-expanded), or a
+                scalar for all of them.
+            n_miss: the first n_miss columns are the undamaged PoIs, the
+                rest the damaged ones.
 
-
-def _log_no_damage(g: np.ndarray, s) -> np.ndarray:
-    """Per-row log P(no damage) = sum over pockets of log1p(-s * g).
-
-    s is one susceptibility per row, or a scalar shared by all rows.
-    Below 8 pockets a row sum adds left to right from +0.0, so adding
-    the columns one at a time gives the same bits, sign of zero included,
-    without a per-row reduce.  From 8 on numpy sums pairwise, so the row
-    sum is kept.
-    """
-    terms = np.multiply(g, s[:, None] if np.ndim(s) else s)
-    np.minimum(terms, 1.0 - 1e-12, out=terms)
-    np.negative(terms, out=terms)
-    np.log1p(terms, out=terms)
-    if terms.shape[1] >= 8:
-        return terms.sum(axis=1)
-    log_q = np.zeros(len(terms))
-    for k in range(terms.shape[1]):
-        log_q += terms[:, k]
-    return log_q
-
-
-def _bernoulli_ll(g: np.ndarray, hit: np.ndarray, miss: np.ndarray, s) -> float:
-    """Log-likelihood of damaged flags under noisy-OR with factors s * g.
-
-    Args:
-        g: (n, n_pockets) Gaussian falloff per PoI and pocket.
-        hit, miss: ascending indices of the damaged and of the
-            undamaged rows (see _split).
-        s: (n,) susceptibility per PoI (already class-expanded), or a
-            scalar for all of them.
-
-    Returns:
-        Sum of log P(flag | model), computed via log1p on the survival
-        side so probabilities near 0 and 1 stay accurate.
-    """
-    if g.size == 0:
-        return 0.0
-    log_q = _log_no_damage(g, s)
-    ll = float(log_q[miss].sum())
-    if hit.size:
-        p = np.expm1(log_q[hit])
-        np.negative(p, out=p)
-        np.maximum(p, 1e-300, out=p)
-        ll += float(np.log(p, out=p).sum())
-    return ll
+        Returns:
+            Sum of log P(flag | model), computed via log1p on the survival
+            side so probabilities near 0 and 1 stay accurate.
+        """
+        if g.size == 0:
+            return 0.0
+        t = self._t[:, : g.shape[1]]
+        np.multiply(g, s, out=t)
+        np.minimum(t, 1.0 - 1e-12, out=t)
+        np.negative(t, out=t)
+        np.log1p(t, out=t)
+        # log P(no damage) per PoI, the sum of its pocket terms.  Below 8
+        # pockets a row sum adds left to right from +0.0, so adding the
+        # pocket rows one at a time gives its bits, sign of zero included.
+        # From 8 on numpy sums pairwise, so the row sum is kept.
+        log_q = self.log_q[: t.shape[1]]
+        if len(t) >= 8:
+            t.T.copy().sum(axis=1, out=log_q)
+        else:
+            log_q.fill(0.0)
+            for row in t:
+                log_q += row
+        ll = float(log_q[:n_miss].sum())
+        if n_miss < len(log_q):
+            p = np.expm1(log_q[n_miss:])
+            np.negative(p, out=p)
+            np.maximum(p, 1e-300, out=p)
+            ll += float(np.log(p, out=p).sum())
+        return ll
 
 
 def fit_estimator(scenarios: Iterable[Scenario]) -> FittedParams:
@@ -241,36 +279,39 @@ def fit_estimator(scenarios: Iterable[Scenario]) -> FittedParams:
     susceptibility 0.5.
     """
     data = _TrainingSet(scenarios)
-    if data.damaged.size == 0:
+    if data.class_idx.size == 0:
         raise ValueError("training set must contain at least one PoI")
-    present = [c for c in range(len(POI_CLASSES)) if data.class_rows[c].size > 0]
+    present = [c for c, (start, stop, _) in enumerate(data.class_spans) if stop > start]
+    lik = _Likelihood(data.neg_d_sq.shape)
+
+    def full_ll(sig: float, s_rows: np.ndarray) -> float:
+        return lik.log_likelihood(lik.falloff(data.neg_d_sq, sig), s_rows, data.n_miss)
 
     sigma = FIT_SIGMA_INIT
     susc = np.full(len(POI_CLASSES), 0.5)
-
-    def full_ll(sig: float, s_vec: np.ndarray) -> float:
-        g = data.gauss(sig)
-        return _bernoulli_ll(g, data.hit, data.miss, s_vec[data.class_idx])
-
-    ll = full_ll(sigma, susc)
+    # One susceptibility per PoI, expanded once per sweep: the sigma
+    # search does not change them.
+    s_rows = susc[data.class_idx]
+    ll = full_ll(sigma, s_rows)
     history = [ll]
     converged = False
     for _ in range(MAX_SWEEPS):
         sigma, _ = _golden_max(
-            lambda sig: full_ll(sig, susc), SIGMA_BRACKET[0], SIGMA_BRACKET[1]
+            lambda sig: full_ll(sig, s_rows), SIGMA_BRACKET[0], SIGMA_BRACKET[1]
         )
-        g = data.gauss(sigma)
+        # One falloff per sweep; each class reads its own columns.
+        g = lik.falloff(data.by_class, sigma)
         for c in present:
-            gc = g[data.class_rows[c]]
-            hit, miss = data.class_split[c]
+            start, stop, n_miss = data.class_spans[c]
 
-            def class_ll(s_val: float, gc=gc, hit=hit, miss=miss) -> float:
-                return _bernoulli_ll(gc, hit, miss, s_val)
+            def class_ll(s_val: float, gc=g[:, start:stop], n_miss=n_miss) -> float:
+                return lik.log_likelihood(gc, s_val, n_miss)
 
             susc[c], _ = _golden_max(
                 class_ll, SUSCEPTIBILITY_BRACKET[0], SUSCEPTIBILITY_BRACKET[1]
             )
-        new_ll = full_ll(sigma, susc)
+        s_rows = susc[data.class_idx]
+        new_ll = full_ll(sigma, s_rows)
         history.append(new_ll)
         if new_ll - ll < SWEEP_TOL:
             converged = True

@@ -741,7 +741,8 @@ def _search(
             need = rj if c == tj else insp_s[c]
             targ[j] = c
             rem[j] = need
-            arr[j] = _commit_row(rowj, c, need, dpp_s[c], vj)
+            if aware:
+                arr[j] = _commit_row(rowj, c, need, dpp_s[c], vj)
             assign(seg, targ, rem, prx, pry, arr, accrued, reveals,
                    prefix + (pids_s[c],) if rooting else prefix)
             arr[j] = rowj  # free robots carry their direct travel row
@@ -791,10 +792,11 @@ def _search(
             lay2 = kids[g] = reveal(lay, g)
         _, xs2, ys2, insp2, _, dpp2 = lay2[:6]
         trow2 = _travel_rows(nprx, npry, spd0, xs2, ys2)
+        # Only the commitment-aware form reads the committed arrivals.
         arr2 = [
             trow2[r] if t < 0 else _commit_row(trow2[r], t, rem2[r], dpp2[t], spd0[r])
             for r, t in enumerate(targ2)
-        ]
+        ] if aware else trow2
         seg2 = make_seg(lay2, _least_need(insp2, targ2, rem2), trow2, arr2, acc2)
 
         if node_log is not None:

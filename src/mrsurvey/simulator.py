@@ -135,15 +135,23 @@ def _dispatch(name: str, config: PlannerConfig):
 def _team_distance(before: PlanningState, after: PlanningState) -> float:
     """The length of every robot's leg between two states, summed.
 
-    numpy adds the legs, as it always has: left to right below 8 legs and
-    pairwise from 8 on, so the outputs keep their bits at every team size.
+    The sum keeps numpy's bits at every team size: numpy adds left to
+    right from +0.0 below 8 legs, which a plain loop does for a fraction
+    of np.sum's cost on a short list, and pairwise from 8 on, where
+    np.sum is kept.  (Not the builtin sum, which compensates from Python
+    3.12 on.)
     """
     legs = []
     for x0, y0, x1, y1 in zip(before.robot_x, before.robot_y, after.robot_x, after.robot_y):
         dx = x1 - x0
         dy = y1 - y0
         legs.append(math.sqrt(dx * dx + dy * dy))
-    return float(np.sum(legs))
+    if len(legs) >= 8:
+        return float(np.sum(legs))
+    total = 0.0
+    for leg in legs:
+        total += leg
+    return total
 
 
 def run_mission(
@@ -194,7 +202,7 @@ def run_mission(
         for pid in state.poi_ids:
             psum += raw[pid]
         exp_acc += k_rate * duration * psum
-        real_acc += k_rate * duration * sum(1 for pid in state.poi_ids if pois[pid].damaged)
+        real_acc += k_rate * duration * damaged_left
         t += duration
 
         pid = outcome.first_poi

@@ -319,3 +319,119 @@ def min_matching_total(cost):
                    for cols in itertools.permutations(range(nc), nr))
     return min(sum(cost[r][c] for c, r in sorted(enumerate(rows), key=lambda p: p[1]))
                for rows in itertools.permutations(range(nr), nc))
+
+
+def row_major_training_set(scenarios):
+    """The fit's training arrays in reading order: (rows, pockets) squared
+    distances padded with inf, class indices and damaged flags."""
+    import numpy as np
+
+    from mrsurvey.scenario import POI_CLASSES
+
+    flat_d_sq, widths, class_idx, damaged = [], [], [], []
+    for s in scenarios:
+        for poi in s.pois:
+            flat_d_sq.extend((poi.x - pk.x) ** 2 + (poi.y - pk.y) ** 2 for pk in s.wind_pockets)
+            widths.append(len(s.wind_pockets))
+            class_idx.append(POI_CLASSES.index(poi.poi_class))
+            damaged.append(poi.damaged)
+    widths_np = np.asarray(widths, dtype=int)
+    max_pockets = int(widths_np.max(initial=0))
+    d_sq = np.full((len(widths_np), max_pockets), math.inf)
+    # A row-major boolean mask takes the flat values row by row.
+    d_sq[np.arange(max_pockets) < widths_np[:, None]] = np.asarray(flat_d_sq, dtype=float)
+    return d_sq, np.asarray(class_idx, dtype=int), np.asarray(damaged, dtype=bool)
+
+
+def row_major_bernoulli_ll(g, hit, miss, s):
+    """Log-likelihood of damaged flags under noisy-OR with factors s * g, on
+    row-major (rows, pockets) falloffs and ascending index arrays of the
+    damaged and undamaged rows; s per row or a scalar."""
+    import numpy as np
+
+    if g.size == 0:
+        return 0.0
+    terms = np.multiply(g, s[:, None] if np.ndim(s) else s)
+    np.minimum(terms, 1.0 - 1e-12, out=terms)
+    np.negative(terms, out=terms)
+    np.log1p(terms, out=terms)
+    # Below 8 pockets a row sum adds left to right from +0.0; from 8 on
+    # numpy sums pairwise.
+    if terms.shape[1] >= 8:
+        log_q = terms.sum(axis=1)
+    else:
+        log_q = np.zeros(len(terms))
+        for k in range(terms.shape[1]):
+            log_q += terms[:, k]
+    ll = float(log_q[miss].sum())
+    if hit.size:
+        p = np.expm1(log_q[hit])
+        np.negative(p, out=p)
+        np.maximum(p, 1e-300, out=p)
+        ll += float(np.log(p, out=p).sum())
+    return ll
+
+
+def row_major_fit(scenarios):
+    """The maximum-likelihood fit as written on row-major training arrays,
+    gathering rows for every probe: the oracle for the library's
+    pocket-major fit, which must return the same bits."""
+    import numpy as np
+
+    from mrsurvey import estimator
+    from mrsurvey.scenario import POI_CLASSES
+
+    d_sq, class_idx, damaged = row_major_training_set(scenarios)
+    if damaged.size == 0:
+        raise ValueError("training set must contain at least one PoI")
+
+    def split(flags):
+        return np.flatnonzero(flags), np.flatnonzero(~flags)
+
+    def gauss(sigma):
+        g = np.negative(d_sq)
+        np.divide(g, 2.0 * sigma * sigma, out=g)
+        with np.errstate(under="ignore"):
+            return np.exp(g, out=g)
+
+    hit, miss = split(damaged)
+    class_rows = [np.nonzero(class_idx == c)[0] for c in range(len(POI_CLASSES))]
+    class_split = [split(damaged[rows]) for rows in class_rows]
+    present = [c for c in range(len(POI_CLASSES)) if class_rows[c].size > 0]
+
+    def full_ll(sig, s_vec):
+        return row_major_bernoulli_ll(gauss(sig), hit, miss, s_vec[class_idx])
+
+    sigma = estimator.FIT_SIGMA_INIT
+    susc = np.full(len(POI_CLASSES), 0.5)
+    ll = full_ll(sigma, susc)
+    history = [ll]
+    converged = False
+    for _ in range(estimator.MAX_SWEEPS):
+        sigma, _ = estimator._golden_max(lambda sig: full_ll(sig, susc), *estimator.SIGMA_BRACKET)
+        g = gauss(sigma)
+        for c in present:
+            gc = g[class_rows[c]]
+            c_hit, c_miss = class_split[c]
+            susc[c], _ = estimator._golden_max(
+                lambda s_val: row_major_bernoulli_ll(gc, c_hit, c_miss, s_val),
+                *estimator.SUSCEPTIBILITY_BRACKET,
+            )
+        new_ll = full_ll(sigma, susc)
+        history.append(new_ll)
+        if new_ll - ll < estimator.SWEEP_TOL:
+            converged = True
+            ll = max(ll, new_ll)
+            break
+        ll = new_ll
+
+    return estimator.FittedParams(
+        sigma_hat=float(sigma),
+        susceptibility_hat={
+            cls: float(susc[c]) if c in present else estimator.MISSING_CLASS_SUSCEPTIBILITY
+            for c, cls in enumerate(POI_CLASSES)
+        },
+        train_log_likelihood=float(ll),
+        converged=converged,
+        ll_history=tuple(history),
+    )

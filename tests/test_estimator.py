@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from mrsurvey import estimator
 from mrsurvey.estimator import (
     FittedParams,
@@ -157,21 +158,29 @@ def _reference_bernoulli_ll(g, damaged, s):
     return ll
 
 
-def _reference_on_index_split(g, hit, miss, s):
-    # the reference in its first call shape: a boolean mask and one
-    # susceptibility per row
-    damaged = np.zeros(len(g), dtype=bool)
-    damaged[hit] = True
-    assert np.array_equal(np.flatnonzero(~damaged), miss)
-    return _reference_bernoulli_ll(g, damaged, np.full(len(g), s) if np.ndim(s) == 0 else s)
-
-
 def _padded_falloff(rng, n, width, sigma=60.0):
     # rows with 0..width pockets, padded with inf distances as in a
     # training set of mixed pocket counts
     d_sq = rng.uniform(0.0, 500.0, size=(n, width)) ** 2
     d_sq[np.arange(width)[None, :] >= rng.integers(0, width + 1, size=n)[:, None]] = math.inf
     return np.exp(-d_sq / (2.0 * sigma * sigma))
+
+
+def _pocket_major(g, damaged):
+    # g's rows as the fit lays them out: one column per row, the
+    # undamaged rows first, then the damaged ones, each in row order
+    order = np.concatenate([np.flatnonzero(~damaged), np.flatnonzero(damaged)])
+    return np.ascontiguousarray(g.T[:, order]), order, int(np.count_nonzero(~damaged))
+
+
+def _fit_hex(fp):
+    return (
+        fp.sigma_hat.hex(),
+        {cls: v.hex() for cls, v in fp.susceptibility_hat.items()},
+        fp.train_log_likelihood.hex(),
+        [ll.hex() for ll in fp.ll_history],
+        fp.converged,
+    )
 
 
 class TestPocketSum:
@@ -181,35 +190,68 @@ class TestPocketSum:
         g = _padded_falloff(rng, 3000, width)
         s = rng.choice([0.0, 1e-6, 0.2, 0.8, 1.0], size=len(g))
         want = np.log1p(-np.minimum(s[:, None] * g, 1.0 - 1e-12)).sum(axis=1)
-        got = estimator._log_no_damage(g, s)
+        damaged = rng.random(len(g)) < 0.3
+        cols, order, n_miss = _pocket_major(g, damaged)
+        lik = estimator._Likelihood(cols.shape)
+        ll = lik.log_likelihood(cols, s[order], n_miss)
+        got = np.empty_like(lik.log_q)
+        got[order] = lik.log_q  # back to row order
         # the rows with no pocket in reach sum to zero; compare its sign too
         assert np.any(want == 0.0)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        damaged = rng.random(len(g)) < 0.3
-        hit, miss = estimator._split(damaged)
-        assert estimator._bernoulli_ll(g, hit, miss, s) == _reference_bernoulli_ll(g, damaged, s)
+        assert ll == _reference_bernoulli_ll(g, damaged, s)
 
     @pytest.mark.parametrize("width", range(1, 11))
     def test_scalar_susceptibility_is_bit_identical_to_a_full_row(self, width):
         rng = np.random.default_rng(100 + width)
         g = _padded_falloff(rng, 3000, width)
         damaged = rng.random(len(g)) < 0.3
-        hit, miss = estimator._split(damaged)
+        cols, _, n_miss = _pocket_major(g, damaged)
+        lik = estimator._Likelihood(cols.shape)
         for s_val in (1e-6, 0.2, 0.8, 1.0, 0.123456789):
             s = np.full(len(g), s_val)
-            want = estimator._log_no_damage(g, s)
-            assert estimator._log_no_damage(g, s_val).tobytes() == want.tobytes()
-            assert estimator._bernoulli_ll(g, hit, miss, s_val) == _reference_bernoulli_ll(g, damaged, s)
+            want = lik.log_likelihood(cols, s, n_miss)
+            want_q = lik.log_q.tobytes()
+            assert lik.log_likelihood(cols, s_val, n_miss) == want
+            assert lik.log_q.tobytes() == want_q
+            assert want == _reference_bernoulli_ll(g, damaged, s)
 
-    @pytest.mark.parametrize("counts", [(0, 1, 2, 3), (1, 9, 4)])
-    def test_fit_on_mixed_pocket_counts_matches_the_row_sum(self, monkeypatch, counts):
+    @pytest.mark.parametrize("counts", [(0, 1, 2, 3), (1, 9, 4), (8, 10), (0,)])
+    def test_fit_on_mixed_pocket_counts_matches_the_row_sum(self, counts):
+        # (0,): no world has a pocket, so every log-likelihood is zero
         scens = [
             generate_scenario(seed, 8, GenerativeParams(n_wind_pockets=counts[seed % len(counts)]))
             for seed in range(30)
         ]
         fp = fit_estimator(scens)
-        monkeypatch.setattr(estimator, "_bernoulli_ll", _reference_on_index_split)
-        assert fp == fit_estimator(scens)
+        assert len(fp.ll_history) > 1
+        assert _fit_hex(fp) == _fit_hex(reference.row_major_fit(scens))
+
+    def test_default_fit_matches_the_row_major_fit(self):
+        scens = [generate_scenario(s, 12) for s in range(400)]
+        assert _fit_hex(fit_estimator(scens)) == _fit_hex(reference.row_major_fit(scens))
+
+
+class TestPinnedFit:
+    def test_default_fit_on_300_worlds(self):
+        # recorded as float hex from the row-major fit
+        fp = fit_estimator(generate_scenario(s, 12) for s in range(300))
+        assert _fit_hex(fp) == (
+            "0x1.d920471a6f6d8p+5",
+            {
+                "forest": "0x1.ffffffffff5d6p-1",
+                "field": "0x1.8f16c9f99c5dcp-1",
+                "building": "0x1.56871fc51bd5cp-2",
+            },
+            "-0x1.e73f8880aa360p+7",
+            [
+                "-0x1.5996c67243b1ap+8", "-0x1.ee305f04b2c15p+7", "-0x1.e855dc4466c91p+7",
+                "-0x1.e76117c934564p+7", "-0x1.e74134cf6381cp+7", "-0x1.e73f9bf5000e2p+7",
+                "-0x1.e73f8962a7127p+7", "-0x1.e73f888ae8e0cp+7", "-0x1.e73f8881210d9p+7",
+                "-0x1.e73f8880af62bp+7", "-0x1.e73f8880aa360p+7",
+            ],
+            True,
+        )
 
 
 def _reference_training_rows(scenarios):
@@ -242,13 +284,31 @@ class TestStreamedTrainingSet:
         worlds = _mixed_worlds()
         data = estimator._TrainingSet(iter(worlds))
         want = _reference_training_rows(worlds)
-        assert data.d_sq.shape == want.shape == (sum(len(w.pois) for w in worlds), 9)
-        assert data.d_sq.tobytes() == want.tobytes()
-        flags = [p.damaged for w in worlds for p in w.pois]
-        assert data.damaged.tolist() == flags
-        assert data.class_idx.tolist() == [
-            POI_CLASSES.index(p.poi_class) for w in worlds for p in w.pois
-        ]
+        n = sum(len(w.pois) for w in worlds)
+        assert want.shape == (n, 9)
+        flags = np.array([p.damaged for w in worlds for p in w.pois])
+        classes = np.array([POI_CLASSES.index(p.poi_class) for w in worlds for p in w.pois])
+
+        def pocket_major(rows):
+            # the negated rows, one column each
+            return np.ascontiguousarray(-want[rows].T).tobytes()
+
+        # every PoI: the undamaged ones, then the damaged ones
+        order = np.concatenate([np.flatnonzero(~flags), np.flatnonzero(flags)])
+        assert data.neg_d_sq.shape == (9, n)
+        assert data.neg_d_sq.tobytes() == pocket_major(order)
+        assert data.n_miss == np.count_nonzero(~flags)
+        assert data.class_idx.tolist() == classes[order].tolist()
+        # class by class, each class's undamaged PoIs before its damaged ones
+        spans, by_class = [], []
+        for c in range(len(POI_CLASSES)):
+            miss = np.flatnonzero((classes == c) & ~flags)
+            hit = np.flatnonzero((classes == c) & flags)
+            spans.append((len(by_class), len(by_class) + len(miss) + len(hit), len(miss)))
+            by_class.extend(miss.tolist() + hit.tolist())
+        assert data.by_class.shape == (9, n)
+        assert data.by_class.tobytes() == pocket_major(by_class)
+        assert data.class_spans == spans
 
     def test_fit_on_an_iterator_equals_the_fit_on_a_list(self):
         worlds = _mixed_worlds()
