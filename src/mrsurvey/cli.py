@@ -1,8 +1,10 @@
 """Command-line entry points: generate, fit, run, simulate.
 
-Every flag can also be supplied through a JSON config file
-(--config path, keys named like the flags with underscores); explicit
-flags override the file.
+Each command accepts only the values it reads (see `OPTIONS`), by flag
+or through a JSON config file (--config path, keys named like the flags
+with underscores); explicit flags override the file.  `run` takes comma
+lists of PoI counts, robot counts and planners; every other command
+takes one value of each.
 """
 
 from __future__ import annotations
@@ -25,20 +27,32 @@ from .simulator import MissionConfig, replay_check, run_mission, write_trace
 _SPEC = ExperimentSpec()
 _PLANNER = _SPEC.planner_config
 
-DEFAULTS = {
-    "n_pois": _SPEC.n_pois,
-    "n_robots": _SPEC.n_robots,
-    "n_trials": _SPEC.n_trials,
-    "seed": _SPEC.seed_base,
-    "planner": _SPEC.planners,
-    "estimator": _SPEC.estimator,
-    "depth_cap": _PLANNER.depth_cap,
-    "n_priority": _PLANNER.n_priority,
-    "cost_rate": _PLANNER.cost_rate,
-    "speed": _SPEC.speed,
-    "out_dir": "out",
-    "parallelism": _SPEC.parallelism,
-    "scenario": None,
+COMMANDS = {
+    "generate": "write scenario and graph JSON files",
+    "fit": "fit damage-model parameters on generated scenarios",
+    "run": "run a batch experiment and write summary files",
+    "simulate": "run one mission and write its trace",
+}
+_ALL = tuple(COMMANDS)
+_MISSION = ("run", "simulate")
+
+# Every settable value, in --help order: its default, the commands that
+# read it (and so accept it), and its argparse settings.  The list
+# values (`_LISTS`) default, outside `run`, to their first entry.
+OPTIONS: Dict[str, Tuple[object, Tuple[str, ...], Dict]] = {
+    "n_pois": (_SPEC.n_pois, _ALL, {"help": "PoI count, or comma list for run"}),
+    "n_robots": (_SPEC.n_robots, _MISSION, {"help": "robot count, or comma list for run"}),
+    "n_trials": (_SPEC.n_trials, ("generate", "fit", "run"), {"type": int}),
+    "seed": (_SPEC.seed_base, _ALL, {"type": int, "help": "base scenario seed"}),
+    "planner": (_SPEC.planners, _MISSION, {"help": "model, optimistic, greedy (comma list for run)"}),
+    "estimator": (_SPEC.estimator, _MISSION, {"help": "oracle, fitted:<path>, or external:<path>"}),
+    "depth_cap": (_PLANNER.depth_cap, _MISSION, {"type": int}),
+    "n_priority": (_PLANNER.n_priority, _MISSION, {"type": int}),
+    "cost_rate": (_PLANNER.cost_rate, _MISSION, {"type": float}),
+    "speed": (_SPEC.speed, _MISSION, {"type": float}),
+    "out_dir": ("out", _ALL, {}),
+    "parallelism": (_SPEC.parallelism, ("run",), {"type": int}),
+    "scenario": (None, ("simulate",), {"help": "scenario JSON to load instead of generating"}),
 }
 
 
@@ -56,55 +70,59 @@ def _as_str_tuple(v) -> Tuple[str, ...]:
     return tuple(str(x) for x in v)
 
 
+# The values `run` takes as comma lists, with their parsers.
+_LISTS = {"n_pois": _as_int_tuple, "n_robots": _as_int_tuple, "planner": _as_str_tuple}
+
+
+def _reads(command: str) -> Tuple[str, ...]:
+    return tuple(key for key, (_, commands, _) in OPTIONS.items() if command in commands)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mrsurvey",
         description="Multi-robot search-and-inspection planning experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, help_text in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file with flag values (flags override)")
-        p.add_argument("--n-pois", dest="n_pois", help="PoI count, or comma list for run")
-        p.add_argument("--n-robots", dest="n_robots", help="robot count, or comma list for run")
-        p.add_argument("--n-trials", dest="n_trials", type=int)
-        p.add_argument("--seed", type=int, help="base scenario seed")
-        p.add_argument("--planner", help="model, optimistic, greedy (comma list for run)")
-        p.add_argument("--estimator", help="oracle, fitted:<path>, or external:<path>")
-        p.add_argument("--depth-cap", dest="depth_cap", type=int)
-        p.add_argument("--n-priority", dest="n_priority", type=int)
-        p.add_argument("--cost-rate", dest="cost_rate", type=float)
-        p.add_argument("--speed", type=float)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--parallelism", type=int)
-        return p
-
-    add("generate", "write scenario and graph JSON files")
-    add("fit", "fit damage-model parameters on generated scenarios")
-    add("run", "run a batch experiment and write summary files")
-    p_sim = add("simulate", "run one mission and write its trace")
-    p_sim.add_argument("--scenario", help="scenario JSON to load instead of generating")
+        for key in _reads(command):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **OPTIONS[key][2])
     return parser
 
 
 def _effective(args: argparse.Namespace) -> Dict:
-    file_cfg: Dict = {}
-    if getattr(args, "config", None):
+    """The command's values: defaults, then the config file, then flags.
+
+    `run` gets a tuple for each list value; every other command gets the
+    one entry, and exits if given more (or none).
+    """
+    command = args.command
+    reads = _reads(command)
+    eff = {key: OPTIONS[key][0] for key in reads}
+    if command != "run":
+        eff.update((key, eff[key][:1]) for key in _LISTS if key in eff)
+    if args.config:
         with open(args.config) as f:
-            file_cfg = json.load(f)
-    eff = dict(DEFAULTS)
-    for key, val in file_cfg.items():
-        if key not in DEFAULTS:
-            raise SystemExit(f"unknown config key {key!r}")
-        eff[key] = val
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
+            for key, val in json.load(f).items():
+                if key not in reads:
+                    raise SystemExit(f"unknown config key {key!r} for {command}")
+                eff[key] = val
+    for key in reads:
+        val = getattr(args, key)
         if val is not None:
             eff[key] = val
-    eff["n_pois"] = _as_int_tuple(eff["n_pois"])
-    eff["n_robots"] = _as_int_tuple(eff["n_robots"])
-    eff["planner"] = _as_str_tuple(eff["planner"])
+    for key, parse in _LISTS.items():
+        if key not in eff:
+            continue
+        values = parse(eff[key])
+        if command == "run":
+            eff[key] = values
+        elif len(values) == 1:
+            eff[key] = values[0]
+        else:
+            raise SystemExit(f"{command} takes one {key} value, got {eff[key]!r}")
     return eff
 
 
@@ -137,7 +155,7 @@ def _experiment_spec(eff: Dict) -> ExperimentSpec:
 def _cmd_generate(eff: Dict) -> int:
     out_dir = eff["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    n = eff["n_pois"][0]
+    n = eff["n_pois"]
     for i in range(int(eff["n_trials"])):
         seed = int(eff["seed"]) + i
         scenario = generate_scenario(seed, n)
@@ -149,7 +167,7 @@ def _cmd_generate(eff: Dict) -> int:
 
 def _cmd_fit(eff: Dict) -> int:
     # A generator: the fit reads one world at a time and keeps none.
-    seed, n_pois = int(eff["seed"]), eff["n_pois"][0]
+    seed, n_pois = int(eff["seed"]), eff["n_pois"]
     params = fit_estimator(generate_scenario(seed + i, n_pois) for i in range(int(eff["n_trials"])))
     out_dir = eff["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -184,16 +202,16 @@ def _cmd_run(eff: Dict) -> int:
 
 
 def _cmd_simulate(eff: Dict) -> int:
-    if eff.get("scenario"):
+    if eff["scenario"]:
         scenario = load_scenario(eff["scenario"])
     else:
-        scenario = generate_scenario(int(eff["seed"]), eff["n_pois"][0])
-    planner = eff["planner"][0]
+        scenario = generate_scenario(int(eff["seed"]), eff["n_pois"])
+    planner = eff["planner"]
     config = MissionConfig(
         planner=planner,
         planner_config=_planner_config(eff),
         estimator=eff["estimator"],
-        n_robots=eff["n_robots"][0],
+        n_robots=eff["n_robots"],
         speed=float(eff["speed"]),
         seed=scenario.seed,
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -125,6 +124,10 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     spec.validate()
     tasks = [(n_p, spec.seed_base + i) for n_p in spec.n_pois for i in range(spec.n_trials)]
     if spec.parallelism > 1:
+        # Imported here: the pool's modules cost every serial caller an
+        # import and their memory.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
             trials = list(
                 pool.map(

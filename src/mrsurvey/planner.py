@@ -404,20 +404,28 @@ def _claim_nearest(
     Robots claim distinct PoIs in the given order, each the unclaimed
     one it reaches soonest (the lowest row on ties); once every PoI is
     claimed, the remaining robots take their nearest.
+
+    A row is timed only when its squared distance is below the best
+    one's: a correctly rounded sqrt and a division by the same positive
+    speed never reverse an order, so the rows skipped could not win the
+    strict `t < best_t` test, and the result is that of timing every row.
     """
     free = list(range(len(xs)))
     out = []
     times = []
     for x, y, v in zip(rx, ry, spd):
         best_g = -1
-        best_t = math.inf
+        best_t = best_d = math.inf
         for g in free or range(len(xs)):
             dx = x - xs[g]
             dy = y - ys[g]
-            t = math.sqrt(dx * dx + dy * dy) / v
-            if t < best_t:
-                best_t = t
-                best_g = g
+            d = dx * dx + dy * dy
+            if d < best_d:
+                t = math.sqrt(d) / v
+                if t < best_t:
+                    best_t = t
+                    best_d = d
+                    best_g = g
         if free:
             free.remove(best_g)
         out.append(best_g)

@@ -238,6 +238,30 @@ def nearest_claims(pois, robots):
     return tuple(targets), ties
 
 
+def unscreened_claim_nearest(rx, ry, spd, xs, ys):
+    """`planner._claim_nearest` without its squared-distance screen:
+    every candidate row is timed with sqrt(dx*dx+dy*dy)/v, and a
+    strictly sooner row wins."""
+    free = list(range(len(xs)))
+    out = []
+    times = []
+    for x, y, v in zip(rx, ry, spd):
+        best_g = -1
+        best_t = math.inf
+        for g in free or range(len(xs)):
+            dx = x - xs[g]
+            dy = y - ys[g]
+            t = math.sqrt(dx * dx + dy * dy) / v
+            if t < best_t:
+                best_t = t
+                best_g = g
+        if free:
+            free.remove(best_g)
+        out.append(best_g)
+        times.append(best_t)
+    return out, times
+
+
 def damage_prob_ref(position, poi_class, pockets_xy, sigma=60.0,
                     susceptibility=None, combine_rule="noisy_or"):
     """Scalar mirror of the Gaussian wind-damage model."""

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import weakref
 
 import pytest
@@ -10,7 +11,7 @@ from mrsurvey import cli
 from mrsurvey.harness import ExperimentSpec
 from mrsurvey.planner import PlannerConfig
 from mrsurvey.scenario import load_scenario
-from mrsurvey.simulator import load_trace
+from mrsurvey.simulator import MissionConfig, load_trace
 
 
 class TestGenerate:
@@ -122,3 +123,96 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(SystemExit):
             cli.main(["generate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+
+
+# The flags each command accepts: those of the values it reads.
+FLAGS = {
+    "generate": {"--config", "--seed", "--n-trials", "--n-pois", "--out-dir"},
+    "fit": {"--config", "--seed", "--n-trials", "--n-pois", "--out-dir"},
+    "run": {"--config", "--seed", "--n-trials", "--n-pois", "--n-robots", "--planner",
+            "--estimator", "--depth-cap", "--n-priority", "--cost-rate", "--speed",
+            "--out-dir", "--parallelism"},
+    "simulate": {"--config", "--seed", "--n-pois", "--n-robots", "--planner",
+                 "--estimator", "--depth-cap", "--n-priority", "--cost-rate", "--speed",
+                 "--out-dir", "--scenario"},
+}
+
+# Values that keep each command small, so a case that is wrongly
+# accepted still finishes quickly.
+SMALL = {
+    "generate": {"n_trials": 1, "n_pois": 3},
+    "fit": {"n_trials": 5, "n_pois": 4},
+    "run": {"n_trials": 1, "n_pois": 3, "n_robots": 1, "planner": "greedy"},
+    "simulate": {"n_pois": 3, "planner": "greedy"},
+}
+
+
+def _small_flags(command):
+    return [x for key, val in SMALL[command].items() for x in ("--" + key.replace("_", "-"), str(val))]
+
+
+class TestEachCommandReadsItsOwnValues:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == FLAGS[command]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", ["--parallelism", "2"]),
+        ("generate", ["--planner", "model"]),
+        ("simulate", ["--n-trials", "3"]),
+        ("fit", ["--speed", "2"]),
+    ])
+    def test_flag_not_read_is_rejected(self, command, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *_small_flags(command), *flag, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, key, val", [
+        ("fit", "parallelism", 2),
+        ("generate", "planner", "model"),
+        ("simulate", "n_trials", 3),
+        ("run", "scenario", "world.json"),
+    ])
+    def test_config_key_not_read_is_rejected(self, command, key, val, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL[command], key: val}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"unknown config key {key!r} for {command}"):
+            cli.main([command, "--config", str(cfg), "--out-dir", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", ["--n-pois", "12,36"]),
+        ("generate", ["--n-pois", "4,5"]),
+        ("simulate", ["--n-robots", "1,3"]),
+        ("simulate", ["--planner", "greedy,optimistic"]),
+        ("simulate", ["--n-pois", ","]),
+    ])
+    def test_single_value_command_rejects_a_list(self, command, flag, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=f"{command} takes one {flag[0][2:].replace('-', '_')} value"):
+            cli.main([command, *_small_flags(command), *flag, "--out-dir", str(out)])
+        assert not out.exists()
+
+    def test_single_value_command_rejects_a_list_in_its_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_trials": 5, "n_pois": [12, 36]}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match="fit takes one n_pois value"):
+            cli.main(["fit", "--config", str(cfg), "--out-dir", str(out)])
+        assert not out.exists()
+
+    def test_single_value_defaults_are_the_first_entries(self):
+        parse = cli._build_parser().parse_args
+        spec, mission = ExperimentSpec(), MissionConfig()
+        sim = cli._effective(parse(["simulate"]))
+        assert (sim["n_pois"], sim["n_robots"], sim["planner"]) == (spec.n_pois[0], mission.n_robots, mission.planner)
+        for command in ("generate", "fit"):
+            eff = cli._effective(parse([command]))
+            assert (eff["n_pois"], eff["n_trials"]) == (spec.n_pois[0], spec.n_trials)

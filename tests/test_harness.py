@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import statistics
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -127,6 +131,19 @@ class TestRunExperiment:
             if name == "stats.json":
                 a, b = _without_walls(a), _without_walls(b)
             assert a == b, name
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # A fresh interpreter: only a run with parallelism > 1 needs the pool.
+        child = textwrap.dedent("""
+            import sys
+            import mrsurvey
+            print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures.process", "multiprocessing"))))
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_multi_cell_grid(self):
         rep = run_experiment(_tiny_spec(n_trials=2, n_robots=(1, 2),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mrsurvey as m
-from mrsurvey.planner import NodeRecord, _scalars, _tail, _travel_rows
+from mrsurvey.planner import NodeRecord, _claim_nearest, _scalars, _tail, _travel_rows
 
 import reference
 
@@ -510,6 +510,57 @@ class TestLowerBound:
                         for t, q in zip(rec.robot_targets, rec.robot_remaining)]
                 completion, _ = reference.route_space_optimum(sub, rob, progress=held)
                 assert rec.bound <= rec.accrued + completion + 1e-9
+
+
+class TestClaimNearest:
+    """The claim times a row only when its squared distance beats the
+    best so far; it must pick the rows, and return the travel times, of
+    timing every row (`reference.unscreened_claim_nearest`)."""
+
+    @staticmethod
+    def _assert_same(rx, ry, spd, xs, ys):
+        got_rows, got_times = _claim_nearest(rx, ry, spd, xs, ys)
+        want_rows, want_times = reference.unscreened_claim_nearest(rx, ry, spd, xs, ys)
+        assert got_rows == want_rows
+        assert [t.hex() for t in got_times] == [t.hex() for t in want_times]
+
+    def test_random_claims_match_timing_every_row(self):
+        rng = random.Random(71)
+        for _ in range(2000):
+            n_pois, n_rob = rng.randint(1, 36), rng.randint(1, 5)
+            xs = [rng.uniform(-500, 500) for _ in range(n_pois)]
+            ys = [rng.uniform(-500, 500) for _ in range(n_pois)]
+            rx = [rng.uniform(-500, 500) for _ in range(n_rob)]
+            ry = [rng.uniform(-500, 500) for _ in range(n_rob)]
+            spd = [rng.choice([1.0, 1.0, rng.uniform(0.3, 3.0)]) for _ in range(n_rob)]
+            self._assert_same(rx, ry, spd, xs, ys)
+
+    def test_grid_and_one_ulp_ties_go_to_the_lowest_row(self):
+        rng = random.Random(72)
+        ties = collapsed = 0
+        for _ in range(2000):
+            n_pois, n_rob = rng.randint(1, 12), rng.randint(1, 5)
+            xs = [float(rng.randint(-3, 3)) for _ in range(n_pois)]
+            ys = [float(rng.randint(-3, 3)) for _ in range(n_pois)]
+            # Copies of a PoI nudged by an ulp: squared distances that
+            # differ in the last bit, whose times may round to one value.
+            for _ in range(rng.randint(0, 3)):
+                g, at = rng.randrange(len(xs)), rng.randrange(len(xs) + 1)
+                xs.insert(at, math.nextafter(xs[g], rng.choice([-math.inf, math.inf])))
+                ys.insert(at, ys[g])
+            rx = [float(rng.randint(-3, 3)) + rng.choice([0.0, 0.5, 1e-9]) for _ in range(n_rob)]
+            ry = [float(rng.randint(-3, 3)) for _ in range(n_rob)]
+            spd = [rng.choice([0.5, 1.0, 3.0, 0.7]) for _ in range(n_rob)]
+            self._assert_same(rx, ry, spd, xs, ys)
+            _, times = reference.unscreened_claim_nearest(rx, ry, spd, xs, ys)
+            for x, y, v, t in zip(rx, ry, spd, times):
+                d2 = [(x - a) * (x - a) + (y - b) * (y - b) for a, b in zip(xs, ys)]
+                tied = {d for d in d2 if math.sqrt(d) / v == t}
+                ties += len(tied) == 1 and len([d for d in d2 if d in tied]) > 1
+                collapsed += len(tied) > 1
+        # Grid ties, and times that one ulp of squared distance does not
+        # move (`collapsed`), both occur.
+        assert ties >= 1000 and collapsed >= 100, (ties, collapsed)
 
 
 class TestPrioritySubset:
