@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from .planner import JointAction, PlanningState, _claim_nearest
+from .planner import JointAction, PlanningState, _claim_nearest, _travel_rows
 
 
 def optimistic_assign(state: PlanningState) -> JointAction:
@@ -33,22 +33,14 @@ def greedy_assign(state: PlanningState) -> JointAction:
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
     ids = state.poi_ids
-    xs, ys = state.poi_x, state.poi_y
-    speeds = state.robot_speeds
     # poi_ids ascends and a reversed sort stays stable, so ties keep the
     # lower id.
     by_prob = sorted(range(len(ids)), key=state.likelihoods.__getitem__, reverse=True)
-    chosen = by_prob[: min(len(speeds), len(ids))]
+    chosen = by_prob[: min(state.n_robots, len(ids))]
 
-    cost = []
-    for x, y, v in zip(state.robot_x, state.robot_y, speeds):
-        row = []
-        for j in chosen:
-            dx = x - xs[j]
-            dy = y - ys[j]
-            row.append(math.sqrt(dx * dx + dy * dy) / v)
-        cost.append(row)
-    targets = [-1] * len(speeds)
+    cost = _travel_rows(state.robot_x, state.robot_y, state.robot_speeds,
+                        [state.poi_x[j] for j in chosen], [state.poi_y[j] for j in chosen])
+    targets = [-1] * state.n_robots
     for r, c in zip(*_min_cost_matching(cost)):
         targets[r] = chosen[c]
     for r, row in enumerate(cost):

@@ -86,6 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
+        # Usage errors found after parsing show this command's usage.
+        p.set_defaults(command_parser=p)
         p.add_argument("--config", help="JSON file with flag values (flags override)")
         for key in _reads(command):
             p.add_argument("--" + key.replace("_", "-"), dest=key, **OPTIONS[key][2])
@@ -95,8 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective(args: argparse.Namespace) -> Dict:
     """The command's values: defaults, then the config file, then flags.
 
-    `run` gets a tuple for each list value; every other command gets the
-    one entry, and exits if given more (or none).
+    Every value is converted by its `OPTIONS` type (or list parser)
+    before the command writes anything, and one that does not convert
+    is a usage error.  `run` gets a tuple for each list value; every
+    other command gets the one entry, and exits if given more (or none).
     """
     command = args.command
     reads = _reads(command)
@@ -113,42 +117,43 @@ def _effective(args: argparse.Namespace) -> Dict:
         val = getattr(args, key)
         if val is not None:
             eff[key] = val
-    for key, parse in _LISTS.items():
-        if key not in eff:
+    for key in reads:
+        val = eff[key]
+        if val is None:
             continue
-        values = parse(eff[key])
-        if command == "run":
-            eff[key] = values
-        elif len(values) == 1:
-            eff[key] = values[0]
-        else:
-            raise SystemExit(f"{command} takes one {key} value, got {eff[key]!r}")
+        try:
+            eff[key] = _LISTS[key](val) if key in _LISTS else OPTIONS[key][2].get("type", str)(val)
+        except (TypeError, ValueError):
+            args.command_parser.error(f"invalid {key} value: {val!r}")
+        if key in _LISTS and command != "run":
+            if len(eff[key]) != 1:
+                raise SystemExit(f"{command} takes one {key} value, got {val!r}")
+            eff[key] = eff[key][0]
     return eff
 
 
 def _planner_config(eff: Dict) -> PlannerConfig:
-    n_priority = int(eff["n_priority"])
     return dataclasses.replace(
         _PLANNER,
-        depth_cap=int(eff["depth_cap"]),
-        n_priority=n_priority,
-        n_top_prob=min(_PLANNER.n_top_prob, n_priority),
-        cost_rate=float(eff["cost_rate"]),
+        depth_cap=eff["depth_cap"],
+        n_priority=eff["n_priority"],
+        n_top_prob=min(_PLANNER.n_top_prob, eff["n_priority"]),
+        cost_rate=eff["cost_rate"],
     )
 
 
 def _experiment_spec(eff: Dict) -> ExperimentSpec:
     return dataclasses.replace(
         _SPEC,
-        n_trials=int(eff["n_trials"]),
+        n_trials=eff["n_trials"],
         n_pois=eff["n_pois"],
         n_robots=eff["n_robots"],
-        seed_base=int(eff["seed"]),
+        seed_base=eff["seed"],
         planners=eff["planner"],
         estimator=eff["estimator"],
         planner_config=_planner_config(eff),
-        speed=float(eff["speed"]),
-        parallelism=int(eff["parallelism"]),
+        speed=eff["speed"],
+        parallelism=eff["parallelism"],
     )
 
 
@@ -156,8 +161,8 @@ def _cmd_generate(eff: Dict) -> int:
     out_dir = eff["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     n = eff["n_pois"]
-    for i in range(int(eff["n_trials"])):
-        seed = int(eff["seed"]) + i
+    for i in range(eff["n_trials"]):
+        seed = eff["seed"] + i
         scenario = generate_scenario(seed, n)
         write_scenario(scenario, os.path.join(out_dir, f"scenario_{seed:06d}.json"))
         write_graph(build_graph(scenario), os.path.join(out_dir, f"graph_{seed:06d}.json"))
@@ -167,8 +172,8 @@ def _cmd_generate(eff: Dict) -> int:
 
 def _cmd_fit(eff: Dict) -> int:
     # A generator: the fit reads one world at a time and keeps none.
-    seed, n_pois = int(eff["seed"]), eff["n_pois"]
-    params = fit_estimator(generate_scenario(seed + i, n_pois) for i in range(int(eff["n_trials"])))
+    seed, n_pois = eff["seed"], eff["n_pois"]
+    params = fit_estimator(generate_scenario(seed + i, n_pois) for i in range(eff["n_trials"]))
     out_dir = eff["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "fitted_params.json")
@@ -205,14 +210,14 @@ def _cmd_simulate(eff: Dict) -> int:
     if eff["scenario"]:
         scenario = load_scenario(eff["scenario"])
     else:
-        scenario = generate_scenario(int(eff["seed"]), eff["n_pois"])
+        scenario = generate_scenario(eff["seed"], eff["n_pois"])
     planner = eff["planner"]
     config = MissionConfig(
         planner=planner,
         planner_config=_planner_config(eff),
         estimator=eff["estimator"],
         n_robots=eff["n_robots"],
-        speed=float(eff["speed"]),
+        speed=eff["speed"],
         seed=scenario.seed,
     )
     trace = run_mission(scenario, config)
@@ -233,7 +238,9 @@ def _cmd_simulate(eff: Dict) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.command_parser.error("unrecognized arguments: " + " ".join(unknown))
     eff = _effective(args)
     if args.command == "generate":
         return _cmd_generate(eff)

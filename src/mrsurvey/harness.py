@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 
 from .estimator import resolve_likelihoods
 from .planner import PlannerConfig
-from .scenario import GenerativeParams, generate_scenario
+from .scenario import generate_scenario
 from .simulator import PLANNER_NAMES, MissionConfig, replay_check, run_mission
 
 
@@ -32,7 +32,6 @@ class ExperimentSpec:
     estimator: str = "oracle"
     planner_config: PlannerConfig = field(default_factory=PlannerConfig)
     speed: float = 1.0
-    gen_params: GenerativeParams = field(default_factory=GenerativeParams)
     parallelism: int = 1
 
     def validate(self) -> None:
@@ -43,7 +42,6 @@ class ExperimentSpec:
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.planner_config.validate()
-        self.gen_params.validate()
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ def _run_trial(
 ) -> List[Tuple[int, int, int, Dict[str, MissionOutcome]]]:
     """Trial seed at n_pois PoIs: every planner at every robot count, on
     one world generated and resolved once."""
-    scenario = generate_scenario(seed, n_pois, spec.gen_params)
+    scenario = generate_scenario(seed, n_pois)
     likelihoods = resolve_likelihoods(scenario, spec.estimator)
     rows = []
     for n_robots in spec.n_robots:

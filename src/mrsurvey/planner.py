@@ -511,6 +511,15 @@ def _commit_row(trow: List[float], t: int, need: float, dpp_t: List[float], v: f
     return row
 
 
+def _layout(pids, xs, ys, insp, lik, dpp) -> tuple:
+    """What every node with one remaining PoI set shares: the PoI lists,
+    the pair distances and the likelihood sum."""
+    psum = 0.0
+    for p in lik:
+        psum += p
+    return (pids, xs, ys, insp, lik, dpp, psum)
+
+
 def _column_min(rows: Sequence[List[float]], n: int) -> List[float]:
     """Per PoI column, the least entry over the robot rows (inf if none)."""
     if not rows:
@@ -523,146 +532,190 @@ def _column_min(rows: Sequence[List[float]], n: int) -> List[float]:
     return m
 
 
-def _search(
-    state: PlanningState,
-    config: PlannerConfig,
-    node_log: Optional[List[NodeRecord]],
-) -> Tuple[float, Tuple[int, ...], int, int]:
-    """Branch-and-bound minimum over assignment/reveal sequences.
+class _Search:
+    """One branch-and-bound minimum over assignment/reveal sequences.
 
-    Returns the cost, the root target tuple, the nodes expanded and the
-    children pruned.
+    The object holds the per-search constants, the incumbent (best_cost
+    and its root target tuple, best_tuple) and the two counters,
+    nodes_expanded and children_pruned; `run` searches and returns the
+    cost and the root target tuple.
 
-    Nodes alternate between commitment layers (the lowest-index free
-    robot picks an unclaimed PoI, or any remaining one once all are
-    claimed) and reveal events (earliest completion wins, ties by PoI id
-    then robot index).  Ties on cost resolve to the lexicographically
-    smallest root target tuple, which is the joint-action enumeration
-    order.  Every robot commits afresh at the root, keeping the state's
-    inspection progress only where it picks its committed PoI again;
-    below the root, commitments persist with their progress until their
-    PoI is revealed.
+    Nodes alternate between commitment layers (`assign`: the
+    lowest-index free robot picks an unclaimed PoI, or any remaining one
+    once all are claimed) and reveal events (`advance`: earliest
+    completion wins, ties by PoI id then robot index).  Ties on cost
+    resolve to the lexicographically smallest root target tuple, which
+    is the joint-action enumeration order.  Every robot commits afresh at
+    the root, keeping the state's inspection progress only where it
+    picks its committed PoI again; below the root, commitments persist
+    with their progress until their PoI is revealed.
 
-    Pruning uses one admissible completion bound, the chain bound: each
-    remaining PoI is charged its earliest possible arrival plus the
-    least inspection time any robot still needs there.  Its
-    commitment-aware form makes committed robots finish their target
-    first; its position-only form lets every robot travel straight.
-    The reveals made plus the PoIs left always equal n, so the form is
-    fixed for the whole search: commitment-aware exactly when the
-    searched subset has at least depth_cap + n_robots PoIs.  Then every
-    node above the cap has more PoIs than robots, so targets stay
-    singly claimed, which the commitment-aware form needs.  Each
-    segment's bound is computed once, when its node is made; the
-    position-only layers under it reuse it.  The state lives in plain
-    python lists because segments are tiny and interpreter arithmetic
-    beats array dispatch here.
+    Pruning uses one admissible completion bound, the chain bound
+    (`chain_bound`): each remaining PoI is charged its earliest possible
+    arrival plus the least inspection time any robot still needs there.
+    Its commitment-aware form makes committed robots finish their target
+    first; its position-only form lets every robot travel straight.  The
+    reveals made plus the PoIs left always equal n, so the form is fixed
+    for the whole search: commitment-aware exactly when the searched
+    subset has at least depth_cap + n_robots PoIs.  Then every node
+    above the cap has more PoIs than robots, so targets stay singly
+    claimed, which the commitment-aware form needs.  Each segment's bound
+    is computed once, in `make_seg`; the position-only layers under it
+    reuse it, and commitment-aware layers price each choice in `price`.
+    The state lives in plain python lists because segments are tiny and
+    interpreter arithmetic beats array dispatch here: a layout is the
+    tuple `_layout` returns, and a segment is (layout, travel rows,
+    inspection term, child layouts by revealed row, bound).
     """
-    n, n_rob = state.n_pois, state.n_robots
-    k_rate = config.cost_rate
-    do_prune = config.prune
-    cap = config.depth_cap
-    aware = do_prune and n >= cap + n_rob
-    rng_rob = range(n_rob)
 
-    pids0, xs0, ys0, insp0, lik0, rx0, ry0, spd0, tgt0, rem0 = _scalars(state)
-    # Robots holding the same progress are interchangeable at the root.
-    key0 = [
-        (t, q) if t >= 0 and q < insp0[t] else None for t, q in zip(tgt0, rem0)
-    ]
+    def __init__(self, state: PlanningState, config: PlannerConfig, node_log: Optional[List[NodeRecord]]):
+        self.k_rate = config.cost_rate
+        self.do_prune = config.prune
+        self.cap = config.depth_cap
+        self.n_rob = state.n_robots
+        self.aware = config.prune and state.n_pois >= config.depth_cap + state.n_robots
+        self.node_log = node_log
+        self.root = _scalars(state)
+        insp = self.root[3]
+        self.spd, self.tgt0, self.rem0 = self.root[7:]
+        # Robots holding the same progress are interchangeable at the root.
+        self.key0 = [(t, q) if t >= 0 and q < insp[t] else None for t, q in zip(self.tgt0, self.rem0)]
+        self.best_cost = math.inf
+        self.best_tuple: Optional[Tuple[int, ...]] = None
+        self.nodes_expanded = 0
+        self.children_pruned = 0
 
-    dpp0 = [[0.0] * n for _ in range(n)]
-    for p in range(n):
-        xp = xs0[p]
-        yp = ys0[p]
-        rowp = dpp0[p]
-        for q in range(p + 1, n):
-            dx = xp - xs0[q]
-            dy = yp - ys0[q]
-            d = math.sqrt(dx * dx + dy * dy)
-            rowp[q] = d
-            dpp0[q][p] = d
+    def run(self) -> Tuple[float, Tuple[int, ...]]:
+        pids, xs, ys, insp, lik, rx, ry, spd, tgt, rem = self.root
+        n = len(pids)
+        dpp = [[0.0] * n for _ in range(n)]
+        for p in range(n):
+            for q in range(p + 1, n):
+                dx = xs[p] - xs[q]
+                dy = ys[p] - ys[q]
+                dpp[p][q] = dpp[q][p] = math.sqrt(dx * dx + dy * dy)
+        # Every robot is free at the root, so both forms of its bound agree.
+        trow = _travel_rows(rx, ry, spd, xs, ys)
+        seg = self.make_seg(_layout(pids, xs, ys, insp, lik, dpp), _least_need(insp, tgt, rem), trow, trow, 0.0)
+        if self.node_log is not None:
+            self.log_node(seg, rx, ry, tgt, rem, 0.0)
+        # No incumbent seeding: children are visited in bound order, so the
+        # first descent already lands on a realized route and every later
+        # node prunes against an achievable cost.
+        self.assign(seg, [-1] * self.n_rob, [0.0] * self.n_rob, rx, ry, list(trow), 0.0, 0, ())
+        assert self.best_tuple is not None
+        return self.best_cost, self.best_tuple
 
-    def layout(pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s):
-        # What every node with this remaining set shares: the PoI lists,
-        # the pair distances and the likelihood sum.
-        psum = 0.0
-        for p in lik_s:
-            psum += p
-        return (pids_s, xs_s, ys_s, insp_s, lik_s, dpp_s, psum)
+    def reveal(self, lay: tuple, g: int) -> tuple:
+        """The layout without row g."""
+        dpp = lay[5][:g] + lay[5][g + 1:]
+        for i, row in enumerate(dpp):
+            dpp[i] = row[:g] + row[g + 1:]
+        return _layout(*[col[:g] + col[g + 1:] for col in lay[:5]], dpp)
 
-    def reveal(lay, g):
-        # The layout without row g.
-        dpp2 = lay[5][:g] + lay[5][g + 1:]
-        for i, row in enumerate(dpp2):
-            row = row[:]
-            del row[g]
-            dpp2[i] = row
-        return layout(*[col[:g] + col[g + 1:] for col in lay[:5]], dpp2)
-
-    def make_seg(lay, need_s, trow_s, arr_s, acc):
-        # A node's segment: its layout and travel rows, the inspection
-        # term, the child layouts its reveals share, and its chain bound
-        # (on the arrivals arr_s in the commitment-aware form).
+    def make_seg(self, lay: tuple, need: List[float], trow: List[List[float]], arr: List[List[float]], acc: float):
+        """A node's segment: its layout and travel rows, the inspection
+        term, the child layouts its reveals share, and its chain bound
+        (on the arrivals arr in the commitment-aware form)."""
         sum_ir = 0.0
-        for p, q in zip(lay[4], need_s):
+        for p, q in zip(lay[4], need):
             sum_ir += p * q
-        b = chain_bound(acc, arr_s if aware else trow_s, lay[4], sum_ir) if do_prune else None
-        return (lay, trow_s, sum_ir, {}, b)
+        b = self.chain_bound(acc, arr if self.aware else trow, lay[4], sum_ir) if self.do_prune else None
+        return (lay, trow, sum_ir, {}, b)
 
-    def log_node(seg, rx, ry, targ, rem, acc):
-        lay, trow_s, sum_ir = seg[:3]
-        pids_s = lay[0]
-        node_log.append(
+    def log_node(self, seg: tuple, rx: List[float], ry: List[float], targ: List[int], rem: List[float], acc: float):
+        """Append the node's NodeRecord, with its position-only bound."""
+        lay, trow, sum_ir = seg[:3]
+        pids = lay[0]
+        self.node_log.append(
             NodeRecord(
-                poi_ids=tuple(pids_s),
+                poi_ids=tuple(pids),
                 robot_xy=tuple(zip(rx, ry)),
-                robot_speeds=tuple(spd0),
-                robot_targets=tuple(None if t < 0 else pids_s[t] for t in targ),
+                robot_speeds=tuple(self.spd),
+                robot_targets=tuple(None if t < 0 else pids[t] for t in targ),
                 robot_remaining=tuple(0.0 if t < 0 else q for t, q in zip(targ, rem)),
                 accrued=acc,
-                bound=chain_bound(acc, trow_s, lay[4], sum_ir),  # position-only
+                bound=self.chain_bound(acc, trow, lay[4], sum_ir),
             )
         )
 
-    def chain_bound(acc, rows, lik_s, sum_ir):
-        # Each PoI charged its earliest arrival over the robot rows, plus
-        # the least inspection needs (sum_ir).
+    def chain_bound(self, acc: float, rows: Sequence[List[float]], lik: List[float], sum_ir: float) -> float:
+        """acc plus cost_rate times the inspection needs (sum_ir) plus each
+        PoI's likelihood times its earliest arrival over the robot rows."""
         s = 0.0
-        for p, m in zip(lik_s, _column_min(rows, len(lik_s))):
+        for p, m in zip(lik, _column_min(rows, len(lik))):
             s += p * m
-        return acc + k_rate * (sum_ir + s)
+        return acc + self.k_rate * (sum_ir + s)
 
-    def beaten(b):
+    def beaten(self, b: float) -> bool:
         # Rounding can push the bound a few ulps past the true subtree
         # minimum, so strict pruning keeps a margin.
-        return b > best_cost + 1e-9 * (abs(best_cost) + 1.0)
+        best = self.best_cost
+        return b > best + 1e-9 * (abs(best) + 1.0)
 
-    best_cost = math.inf
-    best_tuple: Optional[Tuple[int, ...]] = None
-    nodes_expanded = 0
-    children_pruned = 0
+    def only_ties(self, b: float, acc: float, cand: Tuple[int, ...]) -> bool:
+        """Whether a subtree with bound b, whose root targets start with
+        cand, can only tie the incumbent without preceding it.
 
-    def assign(seg, targ, rem, prx, pry, arr, accrued, reveals, prefix):
-        nonlocal nodes_expanded, children_pruned
-        lay, trow_s, sum_ir, _, seg_bound = seg
-        pids_s, _, _, insp_s, lik_s, dpp_s, _ = lay
-        na = len(pids_s)
-        j = -1
-        for r in rng_rob:
-            if targ[r] < 0:
-                j = r
-                break
-        if j < 0:
-            advance(seg, targ, rem, prx, pry, accrued, reveals, prefix)
+        That holds when its completion bound is exactly zero (b == acc)
+        and meets the incumbent's cost, and cand cannot start a root
+        tuple below best_tuple: it is above best_tuple's head, or equal
+        to a full-length one.
+        """
+        if b != self.best_cost or b != acc:
+            return False
+        head = self.best_tuple[:len(cand)]
+        return cand > head or (cand == head and len(cand) == self.n_rob)
+
+    def price(self, seg: tuple, arr: List[List[float]], j: int, choices: List[int], tj: int, rj: float,
+              acc: float) -> List[float]:
+        """Each choice's commitment-aware chain bound when free robot j
+        commits to it, on the arrivals `_commit_row` would give, without
+        building the row: only entered children need it.  tj is the
+        target on which j holds rj seconds of progress (-1 if none)."""
+        lay, trow, sum_ir = seg[:3]
+        insp, lik, dpp = lay[3:6]
+        na = len(lik)
+        rowj, vj, k_rate = trow[j], self.spd[j], self.k_rate
+        om = _column_min([arr[r] for r in range(self.n_rob) if r != j], na)
+        bnds = []
+        for c in choices:
+            tc = rowj[c]
+            fin = tc + (rj if c == tj else insp[c])
+            dc = dpp[c]
+            s = 0.0
+            for l in range(c):
+                f = fin + dc[l] / vj
+                o = om[l]
+                s += lik[l] * (o if o < f else f)
+            o = om[c]
+            s += lik[c] * (o if o < tc else tc)
+            for l in range(c + 1, na):
+                f = fin + dc[l] / vj
+                o = om[l]
+                s += lik[l] * (o if o < f else f)
+            bnds.append(acc + k_rate * (sum_ir + s))
+        return bnds
+
+    def assign(self, seg, targ, rem, prx, pry, arr, accrued, reveals, prefix):
+        """A commitment layer: the lowest-index free robot takes each of its
+        choices in bound order, or the segment advances once none is free."""
+        if -1 not in targ:
+            self.advance(seg, targ, rem, prx, pry, accrued, reveals, prefix)
             return
-        nodes_expanded += 1
+        j = targ.index(-1)
+        self.nodes_expanded += 1
+        lay, trow, _, _, seg_bound = seg
+        pids, insp, dpp = lay[0], lay[3], lay[5]
+        spd = self.spd
+        aware, do_prune = self.aware, self.do_prune
 
         # Only at the root can a free robot hold progress; a robot freed
         # by a reveal starts its next inspection from zero.
         rooting = reveals == 0
-        tj = tgt0[j] if rooting else -1
-        rj = rem0[j]
+        tj = self.tgt0[j] if rooting else -1
+        rj = self.rem0[j]
+        key0 = self.key0
         kj = key0[j]
 
         # Identical robots (same spot, same speed, same progress) take
@@ -673,22 +726,20 @@ def _search(
         # unclaimed PoIs remain.
         lo = -1
         committed = set()
-        xj = prx[j]
-        yj = pry[j]
-        vj = spd0[j]
-        for r in rng_rob:
-            t = targ[r]
-            if r == j or t < 0:
+        xj, yj, vj = prx[j], pry[j], spd[j]
+        for r, t in enumerate(targ):
+            if t < 0:
                 continue
             committed.add(t)
             if (
                 t > lo
-                and spd0[r] == vj
+                and spd[r] == vj
                 and prx[r] == xj
                 and pry[r] == yj
-                and (key0[r] == kj if rooting else rem[r] == insp_s[t])
+                and (key0[r] == kj if rooting else rem[r] == insp[t])
             ):
                 lo = t
+        na = len(pids)
         unclaimed = [i for i in range(na) if i not in committed]
         # Ascending canonicalization only holds where targets are
         # pairwise distinct; duplicate layers enumerate freely.
@@ -696,150 +747,96 @@ def _search(
         if not choices:
             return  # symmetric classes here are covered by other branches
 
-        rowj = trow_s[j]
         if aware:
-            # Each choice is priced on the arrivals `_commit_row` would
-            # give, without building the row: only entered children
-            # need it.
-            om = _column_min([arr[r] for r in rng_rob if r != j], na)
-            bnds = []
-            for c in choices:
-                tc = rowj[c]
-                fin = tc + (rj if c == tj else insp_s[c])
-                dc = dpp_s[c]
-                s = 0.0
-                for l in range(c):
-                    f = fin + dc[l] / vj
-                    o = om[l]
-                    s += lik_s[l] * (o if o < f else f)
-                o = om[c]
-                s += lik_s[c] * (o if o < tc else tc)
-                for l in range(c + 1, na):
-                    f = fin + dc[l] / vj
-                    o = om[l]
-                    s += lik_s[l] * (o if o < f else f)
-                bnds.append(accrued + k_rate * (sum_ir + s))
+            bnds = self.price(seg, arr, j, choices, tj, rj, accrued)
             seq = sorted(range(len(choices)), key=bnds.__getitem__)
         else:
             # Position-only: every choice shares the segment's bound.
             seq = range(len(choices))
-
-        for oi, pos_k in enumerate(seq):
-            c = choices[pos_k]
+        rowj = trow[j]
+        for oi, k in enumerate(seq):
+            c = choices[k]
+            nxt = prefix + (pids[c],) if rooting else prefix
             if do_prune:
-                b = bnds[pos_k] if aware else seg_bound
-                if beaten(b):
-                    children_pruned += len(choices) - oi
+                b = bnds[k] if aware else seg_bound
+                if self.beaten(b):
+                    self.children_pruned += len(choices) - oi
                     break
-                if b == best_cost and b == accrued:
-                    # Exactly-zero completion bound: the subtree can
-                    # only tie, which matters solely for enumeration
-                    # order; skip unless this branch can still
-                    # lexicographically precede the incumbent.
-                    if best_tuple is not None:
-                        if rooting:
-                            cand = prefix + (pids_s[c],)
-                            head = best_tuple[: len(cand)]
-                            if cand > head or (cand == head and len(cand) == n_rob):
-                                children_pruned += 1
-                                continue
-                        elif prefix >= best_tuple:
-                            children_pruned += 1
-                            continue
-            need = rj if c == tj else insp_s[c]
+                if self.only_ties(b, accrued, nxt):
+                    self.children_pruned += 1
+                    continue
+            need = rj if c == tj else insp[c]
             targ[j] = c
             rem[j] = need
             if aware:
-                arr[j] = _commit_row(rowj, c, need, dpp_s[c], vj)
-            assign(seg, targ, rem, prx, pry, arr, accrued, reveals,
-                   prefix + (pids_s[c],) if rooting else prefix)
+                arr[j] = _commit_row(rowj, c, need, dpp[c], vj)
+            self.assign(seg, targ, rem, prx, pry, arr, accrued, reveals, nxt)
             arr[j] = rowj  # free robots carry their direct travel row
             targ[j] = -1
 
-    def advance(seg, targ, rem, prx, pry, accrued, reveals, prefix):
-        nonlocal best_cost, best_tuple, nodes_expanded
-        lay, trow_s, _, kids = seg[:4]
-        pids_s, xs_s, ys_s, _, _, _, psum = lay
-        nodes_expanded += 1
+    def advance(self, seg, targ, rem, prx, pry, accrued, reveals, prefix):
+        """A reveal event: fly the segment, then score a leaf or make the
+        child segment and prune it or commit its freed robots."""
+        self.nodes_expanded += 1
+        lay, trow, _, kids = seg[:4]
+        pids, xs, ys = lay[:3]
+        spd, k_rate = self.spd, self.k_rate
 
         # Survivors keep their targets, re-indexed past the revealed PoI.
         # The travel rows were built from these very positions.
-        tts = [trow_s[r][targ[r]] for r in rng_rob]
-        duration, winner, nprx, npry, targ2, rem2 = _step(prx, pry, xs_s, ys_s, pids_s, targ, rem, tts)
-        acc2 = accrued + k_rate * duration * psum
+        tts = [row[t] for row, t in zip(trow, targ)]
+        duration, winner, nprx, npry, targ2, rem2 = _step(prx, pry, xs, ys, pids, targ, rem, tts)
+        acc2 = accrued + k_rate * duration * lay[6]
         g = targ[winner]
-        reveals2 = reveals + 1
-        a2 = len(pids_s) - 1
 
-        if a2 == 0 or reveals2 >= cap:
+        if len(pids) == 1 or reveals + 1 >= self.cap:
             value = acc2
-            if a2:
+            if len(pids) > 1:
                 # Tail on robots sorted by state: leaf values must not
                 # depend on robot labeling or the ascending-target
                 # reduction for identical robots would change the cost.
                 # A tail that passes the incumbent cannot change the
                 # result, so it stops there.
-                robots = sorted(zip(nprx, npry, spd0, targ2, rem2))
+                robots = sorted(zip(nprx, npry, spd, targ2, rem2))
                 value += _tail(
                     *[col[:g] + col[g + 1:] for col in lay[:5]],
                     *map(list, zip(*robots)),
                     k_rate,
                     acc2,
-                    best_cost,
+                    self.best_cost,
                 )
-            if value < best_cost:
-                best_cost = value
-                best_tuple = prefix
-            elif value == best_cost and best_tuple is not None and prefix < best_tuple:
-                best_tuple = prefix
+            if value < self.best_cost or (value == self.best_cost and prefix < self.best_tuple):
+                self.best_cost = value
+                self.best_tuple = prefix
             return
 
         # Siblings that reveal the same PoI share the child layout.
         lay2 = kids.get(g)
         if lay2 is None:
-            lay2 = kids[g] = reveal(lay, g)
+            lay2 = kids[g] = self.reveal(lay, g)
         _, xs2, ys2, insp2, _, dpp2 = lay2[:6]
-        trow2 = _travel_rows(nprx, npry, spd0, xs2, ys2)
+        trow2 = _travel_rows(nprx, npry, spd, xs2, ys2)
         # Only the commitment-aware form reads the committed arrivals.
         arr2 = [
-            trow2[r] if t < 0 else _commit_row(trow2[r], t, rem2[r], dpp2[t], spd0[r])
-            for r, t in enumerate(targ2)
-        ] if aware else trow2
-        seg2 = make_seg(lay2, _least_need(insp2, targ2, rem2), trow2, arr2, acc2)
-
-        if node_log is not None:
-            log_node(seg2, nprx, npry, targ2, rem2, acc2)
-
-        if do_prune:
-            nb = seg2[4]
-            if beaten(nb):
-                return
-            if nb == best_cost and nb == acc2 and best_tuple is not None and prefix >= best_tuple:
-                return
-
-        assign(seg2, targ2, rem2, nprx, npry, arr2, acc2, reveals2, prefix)
-
-    # Every robot is free at the root, so both forms of its bound agree.
-    trow0 = _travel_rows(rx0, ry0, spd0, xs0, ys0)
-    lay0 = layout(pids0, xs0, ys0, insp0, lik0, dpp0)
-    seg0 = make_seg(lay0, _least_need(insp0, tgt0, rem0), trow0, trow0, 0.0)
-    if node_log is not None:
-        log_node(seg0, rx0, ry0, tgt0, rem0, 0.0)
-
-    # No incumbent seeding: children are visited in bound order, so the
-    # first descent already lands on a realized route and every later
-    # node prunes against an achievable cost.
-    assign(seg0, [-1] * n_rob, [0.0] * n_rob, rx0[:], ry0[:], list(trow0), 0.0, 0, ())
-    assert best_tuple is not None
-    return best_cost, best_tuple, nodes_expanded, children_pruned
+            row if t < 0 else _commit_row(row, t, q, dpp2[t], v)
+            for row, t, q, v in zip(trow2, targ2, rem2, spd)
+        ] if self.aware else trow2
+        seg2 = self.make_seg(lay2, _least_need(insp2, targ2, rem2), trow2, arr2, acc2)
+        if self.node_log is not None:
+            self.log_node(seg2, nprx, npry, targ2, rem2, acc2)
+        if self.do_prune and (self.beaten(seg2[4]) or self.only_ties(seg2[4], acc2, prefix)):
+            return
+        self.assign(seg2, targ2, rem2, nprx, npry, arr2, acc2, reveals + 1, prefix)
 
 
 def select_priority_subset(state: PlanningState, config: PlannerConfig) -> Tuple[int, ...]:
     """Priority PoIs: top n_top_prob likelihoods, then nearest-per-robot fill.
 
     Returns all ids when the remaining set already fits in n_priority.
-    Round-robin fill walks robots in index order, each adding its
-    nearest unselected PoI, until n_priority distinct ids are chosen.
+    The fill claims in rounds with `_claim_nearest`, the greedy tail's
+    nearest claim, on the PoIs not yet chosen: robots in index order
+    each claim a distinct nearest one, and claims are taken until
+    n_priority ids are chosen.
     A robot part-way through an inspection stands on its target, so
     whenever n_priority - n_top_prob >= n_robots every robot gets a pick
     and the subset keeps every in-progress target (unless another PoI
@@ -856,18 +853,11 @@ def select_priority_subset(state: PlanningState, config: PlannerConfig) -> Tuple
     by_prob = sorted(range(n), key=state.likelihoods.__getitem__, reverse=True)
     chosen: Set[int] = set(by_prob[: config.n_top_prob])
 
-    tt = _travel_rows(state.robot_x, state.robot_y, state.robot_speeds, state.poi_x, state.poi_y)
-    robot = 0
     while len(chosen) < config.n_priority:
-        row = tt[robot]
-        j_best = -1
-        for j in range(n):
-            if j in chosen:
-                continue
-            if j_best < 0 or row[j] < row[j_best]:
-                j_best = j
-        chosen.add(j_best)
-        robot = (robot + 1) % state.n_robots
+        rest = [j for j in range(n) if j not in chosen]
+        claims, _ = _claim_nearest(state.robot_x, state.robot_y, state.robot_speeds,
+                                   [state.poi_x[j] for j in rest], [state.poi_y[j] for j in rest])
+        chosen.update(rest[g] for g in claims[: config.n_priority - len(chosen)])
     return tuple(sorted(state.poi_ids[j] for j in chosen))
 
 
@@ -908,11 +898,12 @@ def plan_detailed(
         raise ValueError("empty remaining set")
     subset = select_priority_subset(state, config)
     sub = state.subset(subset) if len(subset) < state.n_pois else state
-    cost, targets, nodes, pruned = _search(sub, config, node_log)
+    search = _Search(sub, config, node_log)
+    cost, targets = search.run()
     return PlanResult(
         action=JointAction(targets),
         cost=float(cost),
-        nodes_expanded=nodes,
-        children_pruned=pruned,
+        nodes_expanded=search.nodes_expanded,
+        children_pruned=search.children_pruned,
         subset_ids=subset,
     )

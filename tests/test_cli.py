@@ -216,3 +216,67 @@ class TestEachCommandReadsItsOwnValues:
         for command in ("generate", "fit"):
             eff = cli._effective(parse([command]))
             assert (eff["n_pois"], eff["n_trials"]) == (spec.n_pois[0], spec.n_trials)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", ["--parallelism", "2"]),
+        ("simulate", ["--n-trials", "3"]),
+    ])
+    def test_flag_not_read_shows_the_command_usage(self, command, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *flag, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mrsurvey {command} ")
+        assert f"mrsurvey {command}: error: unrecognized arguments: " + " ".join(flag) in err
+
+
+class TestMalformedValues:
+    """A value that does not convert to its option's type is a usage
+    error of the command given it, raised before anything is written."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", ["--n-pois", "abc"]),
+        ("generate", ["--n-pois", "4,x"]),
+        ("run", ["--n-robots", "1,three"]),
+        ("simulate", ["--n-robots", "2.5"]),
+    ])
+    def test_flag(self, command, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *_small_flags(command), *flag, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mrsurvey {command} ")
+        assert f"invalid {flag[0][2:].replace('-', '_')} value: {flag[1]!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, val", [
+        ("generate", "n_trials", "many"),
+        ("fit", "seed", [3]),
+        ("run", "depth_cap", "deep"),
+        ("run", "n_pois", {"n": 3}),
+        ("simulate", "speed", "fast"),
+        ("simulate", "planner", 7),
+    ])
+    def test_config_value(self, command, key, val, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL[command], key: val}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out-dir", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mrsurvey {command} ")
+        assert f"invalid {key} value: {val!r}" in err
+        assert not out.exists()
+
+    def test_config_values_take_their_option_types(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_trials": "2", "n_pois": "3,4", "n_robots": [1, "2"], "speed": 2,
+                                   "planner": ["greedy"], "depth_cap": "3"}))
+        parse = cli._build_parser().parse_args
+        eff = cli._effective(parse(["run", "--config", str(cfg)]))
+        assert (eff["n_trials"], eff["n_pois"], eff["n_robots"], eff["planner"]) == (2, (3, 4), (1, 2), ("greedy",))
+        assert type(eff["speed"]) is float and eff["speed"] == 2.0
+        spec = cli._experiment_spec(eff)
+        assert spec.planner_config == PlannerConfig(depth_cap=3)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import mrsurvey as m
-from mrsurvey.planner import NodeRecord, _claim_nearest, _scalars, _tail, _travel_rows
+from mrsurvey import simulator
+from mrsurvey.planner import NodeRecord, _claim_nearest, _commit_row, _scalars, _Search, _tail, _travel_rows
 
 import reference
 
@@ -824,6 +825,97 @@ class TestPinnedSearch:
             for st, _ in states
             for t, q in zip(st.robot_targets, st.robot_remaining)
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _seed0_decisions(n_pois, n_robots, every):
+    """Every `every`-th decision state of the seed-0 model mission, cut
+    to its priority subset, with the planner config it was planned with."""
+    states = []
+
+    def record(state, config):
+        states.append((state.subset(m.select_priority_subset(state, config)), config))
+        return m.plan(state, config)
+
+    plan = simulator.plan
+    simulator.plan = record
+    try:
+        world = m.generate_scenario(0, n_pois)
+        m.run_mission(world, m.MissionConfig(planner="model", n_robots=n_robots, seed=0))
+    finally:
+        simulator.plan = plan
+    return tuple(states[::every])
+
+
+class _RowPricedSearch(_Search):
+    """The search, checking each fused per-choice price against the
+    chain bound on the arrival rows `_commit_row` builds."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.priced = self.held = 0
+
+    def price(self, seg, arr, j, choices, tj, rj, acc):
+        got = super().price(seg, arr, j, choices, tj, rj, acc)
+        lay, trow, sum_ir = seg[:3]
+        insp, lik, dpp = lay[3:6]
+        for c, b in zip(choices, got):
+            rows = list(arr)
+            rows[j] = _commit_row(trow[j], c, rj if c == tj else insp[c], dpp[c], self.spd[j])
+            assert b.hex() == self.chain_bound(acc, rows, lik, sum_ir).hex()
+            self.priced += 1
+            self.held += c == tj  # priced on the progress robot j holds
+        return got
+
+
+class TestSearchPieces:
+    """The search object's pieces, each checked on its own."""
+
+    def test_fused_pricing_matches_commit_rows(self):
+        # Nodes of seed-0 searches: 36 PoIs cut to 12 with 3 robots, and
+        # 12 PoIs with 5 robots at depth cap 4, both commitment-aware.
+        priced = held = searched = 0
+        for n_pois, n_robots in ((36, 3), (12, 5)):
+            for st, cfg in _seed0_decisions(n_pois, n_robots, 4):
+                search = _RowPricedSearch(st, cfg, None)
+                if not search.aware:
+                    continue
+                searched += 1
+                cost, targets = search.run()
+                res = m.plan_detailed(st, cfg)
+                assert (targets, cost.hex()) == (res.action.targets, res.cost.hex())
+                assert (search.nodes_expanded, search.children_pruned) == (res.nodes_expanded, res.children_pruned)
+                priced += search.priced
+                held += search.held
+        assert searched >= 8 and priced >= 10000 and held >= 10, (searched, priced, held)
+
+    def test_chain_bound_charges_each_poi_its_earliest_arrival(self):
+        st = _state_from([(0, 0.0, 5.0, 2.0, 0.5), (1, 0.0, -10.0, 0.0, 0.25)], [[0, 0, 1], [0, 14, 2]])
+        search = _Search(st, m.PlannerConfig(cost_rate=2.0), None)
+        rows = _travel_rows(st.robot_x, st.robot_y, st.robot_speeds, st.poi_x, st.poi_y)
+        assert rows == [[5.0, 10.0], [4.5, 12.0]]
+        # 7 + 2 * (inspection term 1 + 0.5 * 4.5 + 0.25 * 10)
+        assert search.chain_bound(7.0, rows, [0.5, 0.25], 1.0) == 18.5 == reference.lower_bound(st, 7.0, k=2.0)
+        # Committed to PoI 0 with 2 s to inspect, robot 0 reaches PoI 1
+        # only at 5 + 2 + 15, so robot 1 is nearer there now.
+        aware = [_commit_row(rows[0], 0, 2.0, [0.0, 15.0], 1.0), rows[1]]
+        assert aware[0] == [5.0, 22.0]
+        assert search.chain_bound(0.0, aware, [0.5, 0.25], 0.0) == 2.0 * (0.5 * 4.5 + 0.25 * 12.0)
+        assert search.chain_bound(3.0, [], [0.5], 0.0) == math.inf
+
+    def test_tie_rule_cuts_only_subtrees_that_cannot_precede(self):
+        st = _state_from([(pid, float(pid), 0.0, 0.0, 0.5) for pid in range(9)], [[0, 0, 1]] * 3)
+        search = _Search(st, m.PlannerConfig(), None)
+        search.best_cost, search.best_tuple = 5.0, (2, 4, 7)
+        # Only an exactly-zero completion bound that meets the incumbent.
+        assert not search.only_ties(5.0, 4.0, (3,))
+        assert not search.only_ties(6.0, 6.0, (3,))
+        cut = {cand: search.only_ties(5.0, 5.0, cand) for cand in [
+            (1,), (2,), (3,), (2, 3), (2, 4), (2, 5), (2, 4, 6), (2, 4, 7), (2, 4, 8), (3, 0, 0)]}
+        assert [cand for cand, c in cut.items() if c] == [(3,), (2, 5), (2, 4, 7), (2, 4, 8), (3, 0, 0)]
+        # A full-length prefix is cut exactly when it is not below the incumbent.
+        for cand in [(2, 4, 6), (2, 4, 7), (2, 4, 8), (1, 9, 9), (3, 0, 0)]:
+            assert search.only_ties(5.0, 5.0, cand) == (cand >= search.best_tuple)
 
 
 class TestPlannerConfig:
