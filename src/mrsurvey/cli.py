@@ -97,22 +97,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective(args: argparse.Namespace) -> Dict:
     """The command's values: defaults, then the config file, then flags.
 
-    Every value is converted by its `OPTIONS` type (or list parser)
-    before the command writes anything, and one that does not convert
-    is a usage error.  `run` gets a tuple for each list value; every
-    other command gets the one entry, and exits if given more (or none).
+    Every value is converted by its `OPTIONS` type (or list parser).
+    `run` gets a tuple for each list value; every other command gets the
+    one entry.  A config file that cannot be read as a JSON object, a
+    key the command does not read, a value that does not convert, and a
+    list of other than one entry outside `run` are usage errors of the
+    command, raised before it writes anything.
     """
-    command = args.command
+    command, parser = args.command, args.command_parser
     reads = _reads(command)
     eff = {key: OPTIONS[key][0] for key in reads}
     if command != "run":
         eff.update((key, eff[key][:1]) for key in _LISTS if key in eff)
     if args.config:
-        with open(args.config) as f:
-            for key, val in json.load(f).items():
-                if key not in reads:
-                    raise SystemExit(f"unknown config key {key!r} for {command}")
-                eff[key] = val
+        try:
+            with open(args.config) as f:
+                config = json.load(f)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read --config {args.config}: {exc}")
+        if not isinstance(config, dict):
+            parser.error(f"--config {args.config} does not hold a JSON object")
+        for key, val in config.items():
+            if key not in reads:
+                parser.error(f"unknown config key {key!r} for {command}")
+            eff[key] = val
     for key in reads:
         val = getattr(args, key)
         if val is not None:
@@ -124,10 +132,10 @@ def _effective(args: argparse.Namespace) -> Dict:
         try:
             eff[key] = _LISTS[key](val) if key in _LISTS else OPTIONS[key][2].get("type", str)(val)
         except (TypeError, ValueError):
-            args.command_parser.error(f"invalid {key} value: {val!r}")
+            parser.error(f"invalid {key} value: {val!r}")
         if key in _LISTS and command != "run":
             if len(eff[key]) != 1:
-                raise SystemExit(f"{command} takes one {key} value, got {val!r}")
+                parser.error(f"{command} takes one {key} value, got {val!r}")
             eff[key] = eff[key][0]
     return eff
 
@@ -237,20 +245,14 @@ def _cmd_simulate(eff: Dict) -> int:
     return 0 if result.ok else 1
 
 
+_HANDLERS = {"generate": _cmd_generate, "fit": _cmd_fit, "run": _cmd_run, "simulate": _cmd_simulate}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args, unknown = _build_parser().parse_known_args(argv)
     if unknown:
         args.command_parser.error("unrecognized arguments: " + " ".join(unknown))
-    eff = _effective(args)
-    if args.command == "generate":
-        return _cmd_generate(eff)
-    if args.command == "fit":
-        return _cmd_fit(eff)
-    if args.command == "run":
-        return _cmd_run(eff)
-    if args.command == "simulate":
-        return _cmd_simulate(eff)
-    raise SystemExit(f"unknown command {args.command!r}")
+    return _HANDLERS[args.command](_effective(args))
 
 
 if __name__ == "__main__":

@@ -91,10 +91,7 @@ def predict(params: FittedParams, scenario: Scenario) -> Dict[int, float]:
         combine_rule="noisy_or",
     )
     gen.validate()
-    return {
-        poi.id: damage_probability(poi.position, poi.poi_class, scenario.wind_pockets, gen)
-        for poi in scenario.pois
-    }
+    return oracle_likelihoods(dataclasses.replace(scenario, params=gen))
 
 
 def clamp_for_planner(likelihoods: Dict[int, float], eps: float = PLANNER_PROB_EPS) -> Dict[int, float]:

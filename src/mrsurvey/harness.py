@@ -4,8 +4,8 @@ Trial i of every cell uses scenario seed seed_base + i, so all planners
 (and all robot counts) face identical scenarios and per-trial costs are
 directly comparable.  One task per (PoI count, seed) builds that world
 and resolves its likelihoods once, then flies every robot count and
-planner on it.  Aggregation is keyed and sorted by seed, which keeps
-results independent of worker scheduling when a pool is used.
+planner on it.  Aggregation follows task order, which a pool keeps, so
+results do not depend on worker scheduling.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ class ExperimentSpec:
             raise ValueError("n_trials must be >= 1")
         if not self.n_pois or not self.n_robots or not self.planners:
             raise ValueError("n_pois, n_robots and planners must be non-empty")
+        if any(len(set(v)) < len(v) for v in (self.n_pois, self.n_robots, self.planners)):
+            raise ValueError("n_pois, n_robots and planners must not repeat an entry")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.planner_config.validate()
@@ -46,12 +48,12 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class MissionOutcome:
+    seed: int
     cost: float
     total_time: float
     total_distance: float
     planning_wall_median: float
     curve: Tuple[Tuple[float, float, float, float, int], ...]
-    replay_ok: bool
     replay_reasons: Tuple[str, ...]
 
 
@@ -81,14 +83,14 @@ class AggregateReport:
 
 def _run_trial(
     spec: ExperimentSpec, n_pois: int, seed: int
-) -> List[Tuple[int, int, int, Dict[str, MissionOutcome]]]:
+) -> List[Tuple[Tuple[str, int, int], MissionOutcome]]:
     """Trial seed at n_pois PoIs: every planner at every robot count, on
-    one world generated and resolved once."""
+    one world generated and resolved once, each outcome keyed by its
+    (planner, n_pois, n_robots) cell."""
     scenario = generate_scenario(seed, n_pois)
     likelihoods = resolve_likelihoods(scenario, spec.estimator)
-    rows = []
+    pairs = []
     for n_robots in spec.n_robots:
-        out: Dict[str, MissionOutcome] = {}
         for planner in spec.planners:
             config = MissionConfig(
                 planner=planner,
@@ -99,22 +101,21 @@ def _run_trial(
                 seed=seed,
             )
             trace = run_mission(scenario, config, likelihoods=likelihoods)
-            result = replay_check(trace, scenario)
             curve = tuple(
                 (c.time, c.distance_traveled, c.expected_cost_accrued, c.realized_cost_accrued, c.n_damaged_unreported)
                 for c in trace.cost_curve
             )
-            out[planner] = MissionOutcome(
+            outcome = MissionOutcome(
+                seed=seed,
                 cost=trace.total_realized_cost,
                 total_time=trace.total_time,
                 total_distance=trace.total_distance,
                 planning_wall_median=trace.planning_calls.median_wall,
                 curve=curve,
-                replay_ok=result.ok,
-                replay_reasons=tuple(result.reasons),
+                replay_reasons=tuple(replay_check(trace, scenario).reasons),
             )
-        rows.append((n_pois, n_robots, seed, out))
-    return rows
+            pairs.append(((planner, n_pois, n_robots), outcome))
+    return pairs
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
@@ -127,60 +128,46 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            trials = list(
-                pool.map(
-                    _run_trial,
-                    [spec] * len(tasks),
-                    [t[0] for t in tasks],
-                    [t[1] for t in tasks],
-                    chunksize=1,
-                )
-            )
+            trials = list(pool.map(_run_trial, [spec] * len(tasks), *zip(*tasks), chunksize=1))
     else:
         trials = [_run_trial(spec, n_p, seed) for n_p, seed in tasks]
-    results = [row for rows in trials for row in rows]
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
+    # Task order (pool.map keeps it) puts the cells in grid order and the
+    # seeds in ascending order within each cell.
+    by_cell: Dict[Tuple[str, int, int], List[MissionOutcome]] = {}
+    for pairs in trials:
+        for key, outcome in pairs:
+            by_cell.setdefault(key, []).append(outcome)
 
     cells: Dict[Tuple[str, int, int], CellStats] = {}
     curves: Dict[Tuple[str, int, int], Tuple[Tuple[int, tuple], ...]] = {}
     failures: List[Tuple[int, int, int, str, Tuple[str, ...]]] = []
-    for n_p in spec.n_pois:
-        for n_r in spec.n_robots:
-            rows = [r for r in results if r[0] == n_p and r[1] == n_r]
-            for planner in spec.planners:
-                seeds = tuple(r[2] for r in rows)
-                outs = [r[3][planner] for r in rows]
-                costs = tuple(o.cost for o in outs)
-                cells[(planner, n_p, n_r)] = CellStats(
-                    planner=planner,
-                    n_pois=n_p,
-                    n_robots=n_r,
-                    mean=float(statistics.fmean(costs)),
-                    median=float(statistics.median(costs)),
-                    std=float(statistics.stdev(costs)) if len(costs) > 1 else 0.0,
-                    mean_distance=float(statistics.fmean(o.total_distance for o in outs)),
-                    mean_time=float(statistics.fmean(o.total_time for o in outs)),
-                    planning_wall_medians=tuple(o.planning_wall_median for o in outs),
-                    seeds=seeds,
-                    costs=costs,
-                )
-                curves[(planner, n_p, n_r)] = tuple((r[2], r[3][planner].curve) for r in rows)
-                for r in rows:
-                    o = r[3][planner]
-                    if not o.replay_ok:
-                        failures.append((n_p, n_r, r[2], planner, o.replay_reasons))
+    for key, outs in by_cell.items():
+        planner, n_p, n_r = key
+        costs = tuple(o.cost for o in outs)
+        cells[key] = CellStats(
+            planner=planner,
+            n_pois=n_p,
+            n_robots=n_r,
+            mean=float(statistics.fmean(costs)),
+            median=float(statistics.median(costs)),
+            std=float(statistics.stdev(costs)) if len(costs) > 1 else 0.0,
+            mean_distance=float(statistics.fmean(o.total_distance for o in outs)),
+            mean_time=float(statistics.fmean(o.total_time for o in outs)),
+            planning_wall_medians=tuple(o.planning_wall_median for o in outs),
+            seeds=tuple(o.seed for o in outs),
+            costs=costs,
+        )
+        curves[key] = tuple((o.seed, o.curve) for o in outs)
+        failures.extend((n_p, n_r, o.seed, planner, o.replay_reasons) for o in outs if o.replay_reasons)
 
     improvements: Dict[Tuple[int, int, str], float] = {}
     if "model" in spec.planners:
-        for n_p in spec.n_pois:
-            for n_r in spec.n_robots:
+        for (planner, n_p, n_r), cell in cells.items():
+            if planner != "model":
                 model_mean = cells[("model", n_p, n_r)].mean
-                for planner in spec.planners:
-                    if planner == "model":
-                        continue
-                    base_mean = cells[(planner, n_p, n_r)].mean
-                    pct = 100.0 * (base_mean - model_mean) / base_mean if base_mean else 0.0
-                    improvements[(n_p, n_r, planner)] = pct
+                improvements[(n_p, n_r, planner)] = (
+                    100.0 * (cell.mean - model_mean) / cell.mean if cell.mean else 0.0
+                )
 
     return AggregateReport(
         spec=spec,

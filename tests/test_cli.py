@@ -99,6 +99,16 @@ class TestSimulate:
         assert (tmp_path / "trace_model_000013.jsonl").exists()
 
 
+def _assert_usage_error(capsys, command, args, message):
+    """command with args exits 2, showing its usage and then message."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mrsurvey {command} ")
+    assert message in err
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -117,6 +127,19 @@ class TestConfigFile:
         eff = cli._effective(cli._build_parser().parse_args(["run"]))
         assert cli._planner_config(eff) == PlannerConfig()
         assert cli._experiment_spec(eff) == ExperimentSpec()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read --config"),
+        ('{"n_trials": 1, "n_po', "cannot read --config"),
+        ('[["n_trials", 1]]', "does not hold a JSON object"),
+    ], ids=["missing", "truncated", "list"])
+    def test_bad_config_file_is_a_usage_error(self, content, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, "fit", ["--config", str(cfg), "--out-dir", str(out)], message)
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -179,12 +202,12 @@ class TestEachCommandReadsItsOwnValues:
         ("simulate", "n_trials", 3),
         ("run", "scenario", "world.json"),
     ])
-    def test_config_key_not_read_is_rejected(self, command, key, val, tmp_path):
+    def test_config_key_not_read_is_rejected(self, command, key, val, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**SMALL[command], key: val}))
         out = tmp_path / "out"
-        with pytest.raises(SystemExit, match=f"unknown config key {key!r} for {command}"):
-            cli.main([command, "--config", str(cfg), "--out-dir", str(out)])
+        _assert_usage_error(capsys, command, ["--config", str(cfg), "--out-dir", str(out)],
+                            f"unknown config key {key!r} for {command}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
@@ -194,18 +217,18 @@ class TestEachCommandReadsItsOwnValues:
         ("simulate", ["--planner", "greedy,optimistic"]),
         ("simulate", ["--n-pois", ","]),
     ])
-    def test_single_value_command_rejects_a_list(self, command, flag, tmp_path):
+    def test_single_value_command_rejects_a_list(self, command, flag, tmp_path, capsys):
         out = tmp_path / "out"
-        with pytest.raises(SystemExit, match=f"{command} takes one {flag[0][2:].replace('-', '_')} value"):
-            cli.main([command, *_small_flags(command), *flag, "--out-dir", str(out)])
+        _assert_usage_error(capsys, command, [*_small_flags(command), *flag, "--out-dir", str(out)],
+                            f"{command} takes one {flag[0][2:].replace('-', '_')} value")
         assert not out.exists()
 
-    def test_single_value_command_rejects_a_list_in_its_config(self, tmp_path):
+    def test_single_value_command_rejects_a_list_in_its_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_trials": 5, "n_pois": [12, 36]}))
         out = tmp_path / "out"
-        with pytest.raises(SystemExit, match="fit takes one n_pois value"):
-            cli.main(["fit", "--config", str(cfg), "--out-dir", str(out)])
+        _assert_usage_error(capsys, "fit", ["--config", str(cfg), "--out-dir", str(out)],
+                            "fit takes one n_pois value")
         assert not out.exists()
 
     def test_single_value_defaults_are_the_first_entries(self):

@@ -51,6 +51,12 @@ class TestRunExperiment:
         assert len(cell.costs) == 1
         assert rep.improvements == {}
 
+    def test_repeated_grid_entry_rejected(self):
+        # A repeated entry would name one cell twice.
+        for key, val in (("n_pois", (5, 5)), ("n_robots", (1, 2, 1)), ("planners", ("greedy", "greedy"))):
+            with pytest.raises(ValueError, match="must not repeat"):
+                run_experiment(_tiny_spec(**{key: val}))
+
     def test_cells_cover_the_grid(self, tiny_report):
         assert set(tiny_report.cells) == {
             (p, 5, r) for p in ("model", "optimistic", "greedy") for r in (1,)

@@ -173,6 +173,12 @@ class TestMakeState:
         with pytest.raises(KeyError):
             st.index_of(9)
 
+    def test_subset_rejects_a_duplicate_id(self):
+        st = m.make_state([(i, float(i), 0.0, 0.0, 0.1 * i) for i in range(3)],
+                          [m.RobotState(0, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="duplicate PoI ids"):
+            st.subset([1, 1])
+
     def test_index_of_on_sparse_ids(self):
         st = m.make_state([(pid, float(pid), 0.0, 0.0, 0.5) for pid in (7, 2, 11, 4)],
                           [m.RobotState(0, 0.0, 0.0)])

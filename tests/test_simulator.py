@@ -444,7 +444,11 @@ class TestTraceFiles:
             assert loaded.total_distance == trace.total_distance
             assert loaded.total_expected_cost == trace.total_expected_cost
             assert loaded.total_realized_cost == trace.total_realized_cost
-            assert loaded.planning_calls.count == trace.planning_calls.count
+            assert loaded.planning_calls == trace.planning_calls
+            # writing the loaded trace again gives the same bytes
+            again = tmp_path / f"again{k}.jsonl"
+            write_trace(loaded, str(again))
+            assert again.read_bytes() == path.read_bytes()
             # a loaded trace still replays cleanly
             assert replay_check(loaded, scen).ok
         # a curve that drops a damaged PoI before its reveal is rejected
