@@ -1,10 +1,10 @@
 """Walk through a single planning decision.
 
 The planner minimizes expected time-to-report over every way the team
-can commit to PoIs and every order inspections can finish.  Costs
-accrue at cost_rate per unit time for each still-unreported damage
-likelihood, and a finished inspection frees its robot for the next
-commitment.  A robot keeps its inspection progress for as long as it
+can commit to PoIs and every order inspections can finish.  Each
+second costs the sum of the still-unreported damage likelihoods, so a
+plan costs its likelihood-weighted reveal times, and a finished
+inspection frees its robot for the next commitment.  A robot keeps its inspection progress for as long as it
 keeps its target; an inspection restarts only if its robot is sent
 elsewhere or another robot reveals the PoI first.
 """

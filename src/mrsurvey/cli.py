@@ -10,13 +10,14 @@ takes one value of each.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
-from .estimator import fit_estimator, write_fitted
+from .estimator import fit_estimator, load_fitted, resolve_likelihoods, write_fitted
 from .harness import ExperimentSpec, emit_outputs, run_experiment
 from .planner import PlannerConfig
 from .scenario import build_graph, generate_scenario, load_scenario, write_graph, write_scenario
@@ -48,7 +49,6 @@ OPTIONS: Dict[str, Tuple[object, Tuple[str, ...], Dict]] = {
     "estimator": (_SPEC.estimator, _MISSION, {"help": "oracle, fitted:<path>, or external:<path>"}),
     "depth_cap": (_PLANNER.depth_cap, _MISSION, {"type": int}),
     "n_priority": (_PLANNER.n_priority, _MISSION, {"type": int}),
-    "cost_rate": (_PLANNER.cost_rate, _MISSION, {"type": float}),
     "speed": (_SPEC.speed, _MISSION, {"type": float}),
     "out_dir": ("out", _ALL, {}),
     "parallelism": (_SPEC.parallelism, ("run",), {"type": int}),
@@ -146,7 +146,6 @@ def _planner_config(eff: Dict) -> PlannerConfig:
         depth_cap=eff["depth_cap"],
         n_priority=eff["n_priority"],
         n_top_prob=min(_PLANNER.n_top_prob, eff["n_priority"]),
-        cost_rate=eff["cost_rate"],
     )
 
 
@@ -165,20 +164,33 @@ def _experiment_spec(eff: Dict) -> ExperimentSpec:
     )
 
 
-def _cmd_generate(eff: Dict) -> int:
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser):
+    """Make a ValueError or OSError raised while a command's inputs are
+    built and checked a usage error of the command.  Errors raised once
+    the command runs (inside a mission, say) keep their traceback."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
+
+
+def _cmd_generate(eff: Dict, parser: argparse.ArgumentParser) -> int:
     out_dir = eff["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     n = eff["n_pois"]
     for i in range(eff["n_trials"]):
         seed = eff["seed"] + i
-        scenario = generate_scenario(seed, n)
+        # A bad n_pois fails on the first world, before the out dir exists.
+        with _usage_errors(parser):
+            scenario = generate_scenario(seed, n)
+        os.makedirs(out_dir, exist_ok=True)
         write_scenario(scenario, os.path.join(out_dir, f"scenario_{seed:06d}.json"))
         write_graph(build_graph(scenario), os.path.join(out_dir, f"graph_{seed:06d}.json"))
     print(f"wrote {eff['n_trials']} scenario/graph pairs to {out_dir}")
     return 0
 
 
-def _cmd_fit(eff: Dict) -> int:
+def _cmd_fit(eff: Dict, parser: argparse.ArgumentParser) -> int:
     # A generator: the fit reads one world at a time and keeps none.
     seed, n_pois = eff["seed"], eff["n_pois"]
     params = fit_estimator(generate_scenario(seed + i, n_pois) for i in range(eff["n_trials"]))
@@ -196,8 +208,13 @@ def _cmd_fit(eff: Dict) -> int:
     return 0
 
 
-def _cmd_run(eff: Dict) -> int:
+def _cmd_run(eff: Dict, parser: argparse.ArgumentParser) -> int:
     spec = _experiment_spec(eff)
+    with _usage_errors(parser):
+        spec.validate()
+        # Every world reads the fit; a missing or bad one fails here first.
+        if spec.estimator.startswith("fitted:"):
+            load_fitted(spec.estimator.split(":", 1)[1])
     report = run_experiment(spec)
     written = emit_outputs(report, eff["out_dir"])
     for n_p in spec.n_pois:
@@ -214,21 +231,24 @@ def _cmd_run(eff: Dict) -> int:
     return 0
 
 
-def _cmd_simulate(eff: Dict) -> int:
-    if eff["scenario"]:
-        scenario = load_scenario(eff["scenario"])
-    else:
-        scenario = generate_scenario(eff["seed"], eff["n_pois"])
+def _cmd_simulate(eff: Dict, parser: argparse.ArgumentParser) -> int:
     planner = eff["planner"]
-    config = MissionConfig(
-        planner=planner,
-        planner_config=_planner_config(eff),
-        estimator=eff["estimator"],
-        n_robots=eff["n_robots"],
-        speed=eff["speed"],
-        seed=scenario.seed,
-    )
-    trace = run_mission(scenario, config)
+    with _usage_errors(parser):
+        if eff["scenario"]:
+            scenario = load_scenario(eff["scenario"])
+        else:
+            scenario = generate_scenario(eff["seed"], eff["n_pois"])
+        config = MissionConfig(
+            planner=planner,
+            planner_config=_planner_config(eff),
+            estimator=eff["estimator"],
+            n_robots=eff["n_robots"],
+            speed=eff["speed"],
+            seed=scenario.seed,
+        )
+        config.validate()
+        likelihoods = resolve_likelihoods(scenario, config.estimator)
+    trace = run_mission(scenario, config, likelihoods)
     out_dir = eff["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"trace_{planner}_{scenario.seed:06d}.jsonl")
@@ -252,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args, unknown = _build_parser().parse_known_args(argv)
     if unknown:
         args.command_parser.error("unrecognized arguments: " + " ".join(unknown))
-    return _HANDLERS[args.command](_effective(args))
+    return _HANDLERS[args.command](_effective(args), args.command_parser)
 
 
 if __name__ == "__main__":

@@ -43,7 +43,10 @@ class ExperimentSpec:
             raise ValueError("n_pois, n_robots and planners must not repeat an entry")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        self.planner_config.validate()
+        # Every mission's config, so a bad one fails before the first world.
+        for n_robots in self.n_robots:
+            for planner in self.planners:
+                MissionConfig(planner, self.planner_config, self.estimator, n_robots, self.speed).validate()
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,6 @@ def emit_outputs(report: AggregateReport, out_dir: str) -> List[str]:
                     "speed": spec.speed,
                     "depth_cap": spec.planner_config.depth_cap,
                     "n_priority": spec.planner_config.n_priority,
-                    "cost_rate": spec.planner_config.cost_rate,
                 },
                 "cells": [
                     {

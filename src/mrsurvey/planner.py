@@ -7,8 +7,9 @@ and the process repeats on the shrunken state.  A robot that reaches its
 target inspects it for the rest of the segment and keeps that progress
 for as long as it keeps the target; switching to another PoI, or losing
 the target to another robot's reveal, starts the next inspection from
-zero.  Cost accrues at cost_rate * (sum of remaining likelihoods) per
-second, so the optimal plan reveals probably-damaged PoIs as early as
+zero.  Cost accrues at the sum of remaining likelihoods per second, so
+the expected cost of a plan is the likelihood-weighted sum of its reveal
+times, and the optimal plan reveals probably-damaged PoIs as early as
 possible.  One scalar segment step, `_step`, holds this rule: the
 simulator's `action_outcome`, the search and its greedy tail all fly it.
 
@@ -189,7 +190,6 @@ class PlannerConfig:
     depth_cap: int = 4
     n_priority: int = 12
     n_top_prob: int = 6
-    cost_rate: float = 1.0
     prune: bool = True
 
     def validate(self) -> None:
@@ -199,8 +199,6 @@ class PlannerConfig:
             raise ValueError("n_top_prob cannot exceed n_priority")
         if self.n_priority < 1:
             raise ValueError("n_priority must be >= 1")
-        if not math.isfinite(self.cost_rate) or self.cost_rate <= 0.0:
-            raise ValueError("cost_rate must be finite and > 0")
 
 
 @dataclass
@@ -219,10 +217,10 @@ class NodeRecord:
     robot_targets and robot_remaining carry the commitments that persist
     at the node (None and 0.0 for free robots), with the inspection time
     each committed robot still needs at its target.  bound is the
-    position-only chain bound: accrued plus cost_rate times the sum over
-    PoIs of likelihood times (earliest straight-line arrival plus the
-    least inspection time any robot still needs there).  The search
-    prunes with this form when the searched subset has fewer than
+    position-only chain bound: accrued plus the sum over PoIs of
+    likelihood times (earliest straight-line arrival plus the least
+    inspection time any robot still needs there).  The search prunes
+    with this form when the searched subset has fewer than
     depth_cap + n_robots PoIs, and with the commitment-aware form when
     it has at least that many.
     """
@@ -441,7 +439,6 @@ def _tail(
     spd: List[float],
     tg: List[int],
     rem: List[float],
-    k_rate: float,
     acc: float,
     cutoff: float,
 ) -> float:
@@ -472,7 +469,7 @@ def _tail(
         psum = 0.0
         for p in lik:
             psum += p
-        total += k_rate * duration * psum
+        total += duration * psum
         g = claim[winner]
         del pids[g], xs[g], ys[g], insp[g], lik[g]
     return math.inf
@@ -566,7 +563,6 @@ class _Search:
     """
 
     def __init__(self, state: PlanningState, config: PlannerConfig, node_log: Optional[List[NodeRecord]]):
-        self.k_rate = config.cost_rate
         self.do_prune = config.prune
         self.cap = config.depth_cap
         self.n_rob = state.n_robots
@@ -633,12 +629,13 @@ class _Search:
         )
 
     def chain_bound(self, acc: float, rows: Sequence[List[float]], lik: List[float], sum_ir: float) -> float:
-        """acc plus cost_rate times the inspection needs (sum_ir) plus each
-        PoI's likelihood times its earliest arrival over the robot rows."""
+        """acc plus the inspection needs (sum_ir) plus each PoI's
+        likelihood times its earliest arrival over the robot rows."""
         s = 0.0
         for p, m in zip(lik, _column_min(rows, len(lik))):
             s += p * m
-        return acc + self.k_rate * (sum_ir + s)
+        # Grouped as in `price`, whose bounds must equal this one bit for bit.
+        return acc + (sum_ir + s)
 
     def beaten(self, b: float) -> bool:
         # Rounding can push the bound a few ulps past the true subtree
@@ -669,7 +666,7 @@ class _Search:
         lay, trow, sum_ir = seg[:3]
         insp, lik, dpp = lay[3:6]
         na = len(lik)
-        rowj, vj, k_rate = trow[j], self.spd[j], self.k_rate
+        rowj, vj = trow[j], self.spd[j]
         om = _column_min([arr[r] for r in range(self.n_rob) if r != j], na)
         bnds = []
         for c in choices:
@@ -687,7 +684,7 @@ class _Search:
                 f = fin + dc[l] / vj
                 o = om[l]
                 s += lik[l] * (o if o < f else f)
-            bnds.append(acc + k_rate * (sum_ir + s))
+            bnds.append(acc + (sum_ir + s))
         return bnds
 
     def assign(self, seg, targ, rem, prx, pry, arr, accrued, reveals, prefix):
@@ -773,13 +770,13 @@ class _Search:
         self.nodes_expanded += 1
         lay, trow, _, kids = seg[:4]
         pids, xs, ys = lay[:3]
-        spd, k_rate = self.spd, self.k_rate
+        spd = self.spd
 
         # Survivors keep their targets, re-indexed past the revealed PoI.
         # The travel rows were built from these very positions.
         tts = [row[t] for row, t in zip(trow, targ)]
         duration, winner, nprx, npry, targ2, rem2 = _step(prx, pry, xs, ys, pids, targ, rem, tts)
-        acc2 = accrued + k_rate * duration * lay[6]
+        acc2 = accrued + duration * lay[6]
         g = targ[winner]
 
         if len(pids) == 1 or reveals + 1 >= self.cap:
@@ -794,7 +791,6 @@ class _Search:
                 value += _tail(
                     *[col[:g] + col[g + 1:] for col in lay[:5]],
                     *map(list, zip(*robots)),
-                    k_rate,
                     acc2,
                     self.best_cost,
                 )
@@ -818,6 +814,7 @@ class _Search:
         if self.node_log is not None:
             self.log_node(seg2, nprx, npry, targ2, rem2, acc2)
         if self.do_prune and (self.beaten(seg2[4]) or self.only_ties(seg2[4], acc2, prefix)):
+            self.children_pruned += 1
             return
         self.assign(seg2, targ2, rem2, nprx, npry, arr2, acc2, reveals + 1, prefix)
 
@@ -874,9 +871,10 @@ def plan_detailed(
     of the cheapest sequence (ties go to the lexicographically smallest
     target tuple).  nodes_expanded counts the commitment and reveal
     nodes the search entered, and children_pruned the children it cut
-    on their bound.  When node_log is given, the search appends a
-    NodeRecord for the root and for every state a reveal reaches before
-    the depth cap, the root first.
+    on their bound or the tie rule: choices at a commitment layer and
+    child segments at a reveal.  When node_log is given, the search
+    appends a NodeRecord for the root and for every state a reveal
+    reaches before the depth cap, the root first.
 
     The search prunes with the commitment-aware chain bound exactly
     when the searched subset has at least depth_cap + n_robots PoIs, and

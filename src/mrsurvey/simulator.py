@@ -13,11 +13,12 @@ The planning state is built with make_state once per mission.  After
 that, action_outcome carries it: the state the planner sees at each
 reveal is the successor of the previous step.
 
-Two cost integrals are tracked: expected cost charges
-cost_rate * sum of remaining likelihoods per second (using the raw,
-unclamped estimates), and realized cost charges cost_rate per second
-per damaged-but-unreported PoI, so the final realized cost equals
-cost_rate * sum of damaged PoIs' reveal times.
+Two cost integrals are tracked: expected cost charges the sum of
+remaining likelihoods per second (using the raw, unclamped estimates),
+so it ends at the likelihood-weighted sum of reveal times, and realized
+cost charges one per second per damaged-but-unreported PoI, so it ends
+at the sum of the damaged PoIs' reveal times: the seconds each damaged
+PoI waited to be reported.
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ def run_mission(
     if missing:
         raise ValueError(f"likelihood map missing PoI ids {missing}")
     clamped = clamp_for_planner(raw)
-    k_rate = config.planner_config.cost_rate
     choose = _dispatch(config.planner, config.planner_config)
 
     pois = {p.id: p for p in scenario.pois}
@@ -199,8 +199,8 @@ def run_mission(
         psum = 0.0
         for pid in state.poi_ids:
             psum += raw[pid]
-        exp_acc += k_rate * duration * psum
-        real_acc += k_rate * duration * damaged_left
+        exp_acc += duration * psum
+        real_acc += duration * damaged_left
         t += duration
 
         pid = outcome.first_poi
@@ -222,7 +222,6 @@ def run_mission(
             "n_robots": config.n_robots,
             "speed": config.speed,
             "seed": config.seed,
-            "cost_rate": k_rate,
             "depth_cap": config.planner_config.depth_cap,
             "n_priority": config.planner_config.n_priority,
             "n_top_prob": config.planner_config.n_top_prob,
@@ -264,7 +263,6 @@ def replay_check(trace: MissionTrace, scenario: Scenario) -> ReplayResult:
     reasons: List[str] = []
     pois = {p.id: p for p in scenario.pois}
     speed = float(trace.config["speed"])
-    k_rate = float(trace.config["cost_rate"])
 
     revealed = [pid for _, pid, _ in trace.reveal_log]
     if sorted(revealed) != sorted(pois):
@@ -305,13 +303,13 @@ def replay_check(trace: MissionTrace, scenario: Scenario) -> ReplayResult:
 
     reveal_time = {pid: t for t, pid, _ in trace.reveal_log}
     if set(reveal_time) == set(pois):
-        realized = k_rate * sum(reveal_time[pid] for pid in pois if pois[pid].damaged)
+        realized = sum(reveal_time[pid] for pid in pois if pois[pid].damaged)
         if abs(realized - trace.total_realized_cost) > REPLAY_TOL:
             reasons.append(
                 f"realized cost {trace.total_realized_cost:.9f} differs from closed form {realized:.9f}"
             )
         if set(trace.likelihoods) >= set(pois):
-            expected = k_rate * sum(trace.likelihoods[pid] * reveal_time[pid] for pid in pois)
+            expected = sum(trace.likelihoods[pid] * reveal_time[pid] for pid in pois)
             if abs(expected - trace.total_expected_cost) > REPLAY_TOL:
                 reasons.append(
                     f"expected cost {trace.total_expected_cost:.9f} differs from closed form {expected:.9f}"

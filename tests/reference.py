@@ -17,7 +17,7 @@ import math
 from mrsurvey.planner import JointAction
 
 
-def route_space_optimum(pois, robots, k=1.0, cap=None, progress=None):
+def route_space_optimum(pois, robots, cap=None, progress=None):
     """(min cost, lex-min first joint assignment) by exhaustive enumeration.
 
     pois: list of (pid, x, y, inspect_time, likelihood) rows.
@@ -64,7 +64,7 @@ def route_space_optimum(pois, robots, k=1.0, cap=None, progress=None):
         sum_p = 0.0
         for p in sorted(alive):
             sum_p += info[p][4]
-        acc2 = acc + k * dur * sum_p
+        acc2 = acc + dur * sum_p
         rob2 = []
         targ2 = []
         need2 = []
@@ -140,11 +140,11 @@ def route_space_optimum(pois, robots, k=1.0, cap=None, progress=None):
     return best[0], best[1]
 
 
-def lower_bound(state, accrued, k=1.0):
+def lower_bound(state, accrued):
     """Completion bound on a PlanningState: each PoI revealed by its
     nearest robot, with no queuing.
 
-    accrued + k * sum_l P(l) * (min_r travel(r, l) + need(l)), where
+    accrued + sum_l P(l) * (min_r travel(r, l) + need(l)), where
     need(l) is the least inspection time any robot still needs at l:
     the remaining time of a robot committed to it, else the full
     inspect time.  No completion from the state costs less.
@@ -162,7 +162,7 @@ def lower_bound(state, accrued, k=1.0):
             if t == pid:
                 need = min(need, q)
         total += state.likelihoods[j] * (nearest + need)
-    return accrued + k * total
+    return accrued + total
 
 
 def _assignments(n, n_robots):

@@ -153,11 +153,9 @@ FLAGS = {
     "generate": {"--config", "--seed", "--n-trials", "--n-pois", "--out-dir"},
     "fit": {"--config", "--seed", "--n-trials", "--n-pois", "--out-dir"},
     "run": {"--config", "--seed", "--n-trials", "--n-pois", "--n-robots", "--planner",
-            "--estimator", "--depth-cap", "--n-priority", "--cost-rate", "--speed",
-            "--out-dir", "--parallelism"},
+            "--estimator", "--depth-cap", "--n-priority", "--speed", "--out-dir", "--parallelism"},
     "simulate": {"--config", "--seed", "--n-pois", "--n-robots", "--planner",
-                 "--estimator", "--depth-cap", "--n-priority", "--cost-rate", "--speed",
-                 "--out-dir", "--scenario"},
+                 "--estimator", "--depth-cap", "--n-priority", "--speed", "--out-dir", "--scenario"},
 }
 
 # Values that keep each command small, so a case that is wrongly
@@ -303,3 +301,46 @@ class TestMalformedValues:
         assert type(eff["speed"]) is float and eff["speed"] == 2.0
         spec = cli._experiment_spec(eff)
         assert spec.planner_config == PlannerConfig(depth_cap=3)
+
+
+class TestBadInputs:
+    """Inputs that convert but that the command cannot use are usage
+    errors of the command, raised before it writes anything; a fault
+    once the command runs keeps its traceback."""
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("run", ["--planner", "foo"], "unknown planner 'foo'"),
+        ("run", ["--n-pois", "3,3"], "must not repeat an entry"),
+        ("run", ["--n-robots", "0"], "n_robots must be >= 1"),
+        ("simulate", ["--n-robots", "0"], "n_robots must be >= 1"),
+        ("run", ["--speed", "-1"], "speed must be finite and > 0"),
+        ("simulate", ["--speed", "-1"], "speed must be finite and > 0"),
+        ("run", ["--depth-cap", "0"], "depth_cap must be >= 1"),
+        ("simulate", ["--depth-cap", "0"], "depth_cap must be >= 1"),
+        ("generate", ["--n-pois", "-1"], "n_pois must be >= 0, got -1"),
+    ])
+    def test_flag(self, command, flag, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, command, [*_small_flags(command), *flag, "--out-dir", str(out)], message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--estimator"),
+        ("simulate", "--estimator"),
+        ("simulate", "--scenario"),
+    ])
+    def test_missing_file(self, command, flag, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        value = f"fitted:{missing}" if flag == "--estimator" else str(missing)
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, command, [*_small_flags(command), flag, value, "--out-dir", str(out)],
+                            f"No such file or directory: {str(missing)!r}")
+        assert not out.exists()
+
+    def test_fault_in_a_mission_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def fault(*args):
+            raise ValueError("fault inside the mission")
+
+        monkeypatch.setattr(cli, "run_mission", fault)
+        with pytest.raises(ValueError, match="fault inside the mission"):
+            cli.main(["simulate", *_small_flags("simulate"), "--out-dir", str(tmp_path / "out")])

@@ -57,6 +57,19 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match="must not repeat"):
                 run_experiment(_tiny_spec(**{key: val}))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"planners": ("model", "foo")}, "unknown planner 'foo'"),
+        ({"n_robots": (1, 0)}, "n_robots must be >= 1"),
+        ({"speed": -1.0}, "speed must be finite and > 0"),
+        ({"planner_config": m.PlannerConfig(depth_cap=0)}, "depth_cap must be >= 1"),
+    ])
+    def test_bad_mission_config_rejected_before_the_first_world(self, overrides, message, monkeypatch):
+        worlds = []
+        monkeypatch.setattr(harness, "generate_scenario", lambda *a: worlds.append(a))
+        with pytest.raises(ValueError, match=message):
+            run_experiment(_tiny_spec(**overrides))
+        assert worlds == []
+
     def test_cells_cover_the_grid(self, tiny_report):
         assert set(tiny_report.cells) == {
             (p, 5, r) for p in ("model", "optimistic", "greedy") for r in (1,)
@@ -200,6 +213,8 @@ class TestEmitOutputs:
         emit_outputs(tiny_report, str(tmp_path))
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert stats["spec"]["n_trials"] == 4
+        assert list(stats["spec"]) == ["n_trials", "n_pois", "n_robots", "seed_base", "planners", "estimator",
+                                       "speed", "depth_cap", "n_priority"]
         assert stats["replay_failures"] == []
         cells = {(c["planner"], c["n_pois"], c["n_robots"]) for c in stats["cells"]}
         assert cells == set((p, 5, 1) for p in ("model", "optimistic", "greedy"))

@@ -60,9 +60,9 @@ def _full_search(st, cfg):
     return res.cost, res.action
 
 
-def _rollout(st, k_rate=1.0):
+def _rollout(st):
     """The greedy tail's completion cost from the state, uncut."""
-    return _tail(*_scalars(st), k_rate, 0.0, math.inf)
+    return _tail(*_scalars(st), 0.0, math.inf)
 
 
 def _two_poi_instance():
@@ -423,17 +423,6 @@ class TestExpectedCost:
         assert (cost, action.targets) == (0.9 * 30.0 + 0.5 * 5.0 + 0.1 * 45.0, (1, 2))
         assert reference.route_space_optimum(pois, robots) == (cost, (1, 2))
 
-    def test_scale_equivariance_of_argmin(self):
-        rng = random.Random(909)
-        cfg_scaled = m.PlannerConfig(depth_cap=6, n_priority=12, n_top_prob=6, cost_rate=3.7)
-        for _ in range(20):
-            pois, robots = reference.random_small_instance(rng)
-            st = _state_from(pois, robots)
-            c1, a1 = _full_search(st, CFG6)
-            c2, a2 = _full_search(st, cfg_scaled)
-            assert a1.targets == a2.targets
-            assert abs(c2 - 3.7 * c1) <= 1e-9 * max(1.0, abs(c2))
-
     def test_empty_state_rejected(self):
         st = m.make_state([], [m.RobotState(0, 0.0, 0.0)])
         with pytest.raises(ValueError):
@@ -688,15 +677,14 @@ class TestRollout:
             if trial % 2:
                 robots, progress = _with_progress(prog_rng, pois, robots)
             st = _state_from(pois, robots, progress)
-            k_rate = rng.choice([1.0, 2.5])
             acc = rng.choice([0.0, rng.uniform(0.0, 500.0)])
-            uncut = _tail(*_scalars(st), k_rate, acc, math.inf)
-            assert uncut == _rollout(st, k_rate)
+            uncut = _tail(*_scalars(st), acc, math.inf)
+            assert uncut == _rollout(st)
             value = acc + uncut
             cutoffs = [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf),
                        acc, 0.0, 2.0 * value] + [rng.uniform(acc, value) for _ in range(4)]
             for cutoff in cutoffs:
-                got = _tail(*_scalars(st), k_rate, acc, cutoff)
+                got = _tail(*_scalars(st), acc, cutoff)
                 if value <= cutoff:
                     assert got.hex() == uncut.hex()
                 else:
@@ -767,6 +755,14 @@ class TestPlanAndPruning:
         assert res.children_pruned >= 0
         assert abs(res.cost - 11.2) <= 1e-12
 
+    def test_a_cut_at_a_reveal_is_counted(self):
+        # The root's choices share its bound, 9.5, below every plan, so
+        # the only cut is at a reveal: once PoI 0 then 1 has cost 11.2,
+        # revealing PoI 1 first (5 s) leaves the child segment a bound of
+        # 5 + 0.9 * 12 = 15.8.
+        res = m.plan_detailed(_two_poi_instance(), CFG6)
+        assert (res.action.targets, res.nodes_expanded, res.children_pruned) == ((0,), 5, 1)
+
 
 @functools.lru_cache(maxsize=None)
 def _pinned_state(seed, n_pois, n_robots, steps):
@@ -790,16 +786,16 @@ PINNED_SEARCHES = [
     (3, 10, 3, 0, True, (0, 3, 8), 987.6256920215747, 252, 590),
     (4, 10, 3, 2, True, (0, 5, 2), 703.5133073529119, 65, 170),
     (5, 9, 5, 0, True, (3, 0, 2, 8, 4), 578.8550775396969, 1059, 1066),
-    (6, 10, 5, 3, True, (6, 7, 0, 1, 9), 242.69746287023082, 4617, 0),
+    (6, 10, 5, 3, True, (6, 7, 0, 1, 9), 242.69746287023082, 4617, 2695),
     (7, 20, 3, 0, True, (3, 7, 13), 921.9498842184298, 7606, 15208),
-    (8, 20, 3, 4, True, (19, 6, 11), 664.6534063637775, 1714, 5720),
+    (8, 20, 3, 4, True, (19, 6, 11), 664.6534063637775, 1714, 5724),
     (9, 6, 1, 1, False, (3,), 358.14316416550355, 291, 0),
     (10, 6, 3, 2, False, (4, 0, 2), 52.936247228453325, 286, 0),
     # Either side of n_pois == depth_cap + n_robots, where the search
     # switches between the position-only and the commitment-aware bound.
     (11, 7, 3, 0, True, (0, 4, 6), 830.6181977245645, 124, 112),
-    (12, 6, 3, 0, True, (0, 4, 5), 623.6770192105738, 188, 0),
-    (13, 8, 5, 0, True, (0, 4, 1, 7, 5), 644.3978455140174, 3028, 0),
+    (12, 6, 3, 0, True, (0, 4, 5), 623.6770192105738, 188, 32),
+    (13, 8, 5, 0, True, (0, 4, 1, 7, 5), 644.3978455140174, 3028, 1066),
 ]
 
 
@@ -897,16 +893,16 @@ class TestSearchPieces:
 
     def test_chain_bound_charges_each_poi_its_earliest_arrival(self):
         st = _state_from([(0, 0.0, 5.0, 2.0, 0.5), (1, 0.0, -10.0, 0.0, 0.25)], [[0, 0, 1], [0, 14, 2]])
-        search = _Search(st, m.PlannerConfig(cost_rate=2.0), None)
+        search = _Search(st, m.PlannerConfig(), None)
         rows = _travel_rows(st.robot_x, st.robot_y, st.robot_speeds, st.poi_x, st.poi_y)
         assert rows == [[5.0, 10.0], [4.5, 12.0]]
-        # 7 + 2 * (inspection term 1 + 0.5 * 4.5 + 0.25 * 10)
-        assert search.chain_bound(7.0, rows, [0.5, 0.25], 1.0) == 18.5 == reference.lower_bound(st, 7.0, k=2.0)
+        # 7 + inspection term 1 + 0.5 * 4.5 + 0.25 * 10
+        assert search.chain_bound(7.0, rows, [0.5, 0.25], 1.0) == 12.75 == reference.lower_bound(st, 7.0)
         # Committed to PoI 0 with 2 s to inspect, robot 0 reaches PoI 1
         # only at 5 + 2 + 15, so robot 1 is nearer there now.
         aware = [_commit_row(rows[0], 0, 2.0, [0.0, 15.0], 1.0), rows[1]]
         assert aware[0] == [5.0, 22.0]
-        assert search.chain_bound(0.0, aware, [0.5, 0.25], 0.0) == 2.0 * (0.5 * 4.5 + 0.25 * 12.0)
+        assert search.chain_bound(0.0, aware, [0.5, 0.25], 0.0) == 0.5 * 4.5 + 0.25 * 12.0 == 5.25
         assert search.chain_bound(3.0, [], [0.5], 0.0) == math.inf
 
     def test_tie_rule_cuts_only_subtrees_that_cannot_precede(self):
@@ -930,6 +926,4 @@ class TestPlannerConfig:
             m.PlannerConfig(depth_cap=0).validate()
         with pytest.raises(ValueError):
             m.PlannerConfig(n_priority=4, n_top_prob=6).validate()
-        with pytest.raises(ValueError):
-            m.PlannerConfig(cost_rate=0.0).validate()
         m.PlannerConfig().validate()

@@ -469,3 +469,23 @@ class TestTraceFiles:
         assert len(records) == len(trace.events) + 1
         assert [r["type"] for r in records] == ["event"] * len(trace.events) + ["summary"]
         assert records[-1]["scenario_seed"] == scen.seed
+        assert list(records[-1]["config"]) == [
+            "planner", "estimator", "n_robots", "speed", "seed", "depth_cap", "n_priority", "n_top_prob"]
+
+    def test_trace_written_with_a_cost_rate_still_replays(self, tmp_path):
+        # Trace files written before the cost rate was dropped carry
+        # "cost_rate": 1.0 in their summary's config; they still load and
+        # pass replay validation.
+        import json
+        scen = m.generate_scenario(73, 5)
+        trace = run_mission(scen, MissionConfig(planner="model", n_robots=2))
+        path = tmp_path / "trace.jsonl"
+        write_trace(trace, str(path))
+        *events, summary = path.read_text().splitlines()
+        old = json.loads(summary)
+        old["config"]["cost_rate"] = 1.0
+        path.write_text("\n".join(events + [json.dumps(old)]) + "\n")
+        loaded = load_trace(str(path))
+        assert loaded.config["cost_rate"] == 1.0
+        assert loaded.total_realized_cost == trace.total_realized_cost
+        assert replay_check(loaded, scen).ok
