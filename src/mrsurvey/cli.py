@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
-from .estimator import fit_estimator, load_fitted, resolve_likelihoods, write_fitted
+from .estimator import fit_estimator, resolve_likelihoods, write_fitted
 from .harness import ExperimentSpec, emit_outputs, run_experiment
 from .planner import PlannerConfig
 from .scenario import build_graph, generate_scenario, load_scenario, write_graph, write_scenario
@@ -166,23 +166,32 @@ def _experiment_spec(eff: Dict) -> ExperimentSpec:
 
 @contextlib.contextmanager
 def _usage_errors(parser: argparse.ArgumentParser):
-    """Make a ValueError or OSError raised while a command's inputs are
-    built and checked a usage error of the command.  Errors raised once
-    the command runs (inside a mission, say) keep their traceback."""
+    """Make a ValueError, OSError or KeyError raised while a command's
+    inputs are built and checked a usage error of the command.  Errors
+    raised once the command runs (inside a mission, say) keep their
+    traceback."""
     try:
         yield
+    except KeyError as exc:
+        parser.error(str(exc.args[0]))
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
 
 
+def _check_counts(parser: argparse.ArgumentParser, eff: Dict, **floors: int) -> None:
+    """A count below its floor is a usage error, raised before any world
+    is built."""
+    for key, floor in floors.items():
+        if eff[key] < floor:
+            parser.error(f"{key} must be >= {floor}, got {eff[key]}")
+
+
 def _cmd_generate(eff: Dict, parser: argparse.ArgumentParser) -> int:
+    _check_counts(parser, eff, n_trials=0, n_pois=0)
     out_dir = eff["out_dir"]
-    n = eff["n_pois"]
     for i in range(eff["n_trials"]):
         seed = eff["seed"] + i
-        # A bad n_pois fails on the first world, before the out dir exists.
-        with _usage_errors(parser):
-            scenario = generate_scenario(seed, n)
+        scenario = generate_scenario(seed, eff["n_pois"])
         os.makedirs(out_dir, exist_ok=True)
         write_scenario(scenario, os.path.join(out_dir, f"scenario_{seed:06d}.json"))
         write_graph(build_graph(scenario), os.path.join(out_dir, f"graph_{seed:06d}.json"))
@@ -191,6 +200,8 @@ def _cmd_generate(eff: Dict, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_fit(eff: Dict, parser: argparse.ArgumentParser) -> int:
+    # The fit needs at least one PoI to learn from.
+    _check_counts(parser, eff, n_trials=1, n_pois=1)
     # A generator: the fit reads one world at a time and keeps none.
     seed, n_pois = eff["seed"], eff["n_pois"]
     params = fit_estimator(generate_scenario(seed + i, n_pois) for i in range(eff["n_trials"]))
@@ -212,9 +223,9 @@ def _cmd_run(eff: Dict, parser: argparse.ArgumentParser) -> int:
     spec = _experiment_spec(eff)
     with _usage_errors(parser):
         spec.validate()
-        # Every world reads the fit; a missing or bad one fails here first.
-        if spec.estimator.startswith("fitted:"):
-            load_fitted(spec.estimator.split(":", 1)[1])
+        # Every world resolves its likelihoods the same way, so an unknown
+        # choice or a missing or malformed file fails here, on the first.
+        resolve_likelihoods(generate_scenario(spec.seed_base, spec.n_pois[0]), spec.estimator)
     report = run_experiment(spec)
     written = emit_outputs(report, eff["out_dir"])
     for n_p in spec.n_pois:

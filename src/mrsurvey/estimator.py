@@ -1,11 +1,13 @@
 """Damage-likelihood estimators feeding the planner.
 
-Two interchangeable sources of per-PoI damage probabilities:
+Three interchangeable sources of per-PoI damage probabilities, chosen
+by `resolve_likelihoods`:
 
-* oracle: evaluate the true generative model on the scenario, and
+* oracle: evaluate the true generative model on the scenario,
 * fitted: maximum-likelihood parameters (sigma and per-class
   susceptibility) recovered from a training set of scenarios with
-  observed damaged flags, then evaluated like the oracle.
+  observed damaged flags, then evaluated like the oracle, and
+* external: read per-PoI probabilities from a JSON file.
 
 The fitted family is the noisy-OR Gaussian falloff model regardless of
 the generative combine_rule knob; mis-specification under the "max"
@@ -346,9 +348,19 @@ def write_fitted(params: FittedParams, path: str) -> None:
         f.write("\n")
 
 
-def load_fitted(path: str) -> FittedParams:
+def _read_object(path: str) -> dict:
+    """The JSON object the file at path holds; anything else raises ValueError."""
     with open(path) as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return data
+
+
+def load_fitted(path: str) -> FittedParams:
+    data = _read_object(path)
+    if not {"sigma_hat", "susceptibility_hat", "train_log_likelihood"} <= data.keys():
+        raise ValueError(f"{path} lacks one of sigma_hat, susceptibility_hat and train_log_likelihood")
     return FittedParams(
         sigma_hat=float(data["sigma_hat"]),
         susceptibility_hat={k: float(v) for k, v in data["susceptibility_hat"].items()},
@@ -369,8 +381,7 @@ def resolve_likelihoods(scenario: Scenario, choice: str) -> Dict[int, float]:
     if choice.startswith("fitted:"):
         return predict(load_fitted(choice.split(":", 1)[1]), scenario)
     if choice.startswith("external:"):
-        with open(choice.split(":", 1)[1]) as f:
-            data = json.load(f)
+        data = _read_object(choice.split(":", 1)[1])
         if data and all(isinstance(v, dict) for v in data.values()):
             key = str(scenario.seed)
             if key not in data:

@@ -41,6 +41,8 @@ class ExperimentSpec:
             raise ValueError("n_pois, n_robots and planners must be non-empty")
         if any(len(set(v)) < len(v) for v in (self.n_pois, self.n_robots, self.planners)):
             raise ValueError("n_pois, n_robots and planners must not repeat an entry")
+        if min(self.n_pois) < 0:
+            raise ValueError("n_pois must be >= 0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         # Every mission's config, so a bad one fails before the first world.

@@ -27,7 +27,9 @@ at least depth_cap + n_robots PoIs the bound assumes committed robots
 finish their targets while the tail re-claims the nearest PoI every
 segment, so pruning is exact only with fewer.  With more PoIs than
 n_priority, planning restricts itself to a priority subset (top
-likelihoods plus nearest-per-robot fill).
+likelihoods plus nearest-per-robot fill): the search reads those rows of
+the mission state, and a robot committed to a PoI outside them plans as
+a free robot.
 
 Each travel time is computed once: the nearest claim and the search's
 travel rows hand theirs to `_step`.  Nodes that share a remaining PoI
@@ -106,23 +108,6 @@ class PlanningState:
         if i >= len(self.poi_ids) or self.poi_ids[i] != poi_id:
             raise KeyError(f"PoI id {poi_id} not in state")
         return i
-
-    def subset(self, poi_ids: Sequence[int]) -> "PlanningState":
-        """The state restricted to poi_ids; commitments outside it are dropped.
-
-        Built by `make_state`, so a repeated id raises ValueError; an id
-        not in the state raises KeyError.
-        """
-        rows = list(zip(self.poi_ids, self.poi_x, self.poi_y, self.inspect_times, self.likelihoods))
-        robots = zip(self.robot_x, self.robot_y, self.robot_speeds, self.robot_targets, self.robot_remaining)
-        return make_state(
-            [rows[self.index_of(pid)] for pid in poi_ids],
-            [
-                RobotState(i, x, y, v, t, q) if t in poi_ids else RobotState(i, x, y, v)
-                for i, (x, y, v, t, q) in enumerate(robots)
-            ],
-            self.elapsed,
-        )
 
 
 def make_state(
@@ -362,23 +347,20 @@ def action_outcome(state: PlanningState, action: JointAction) -> ActionOutcome:
 # --- bounds and greedy tail ---------------------------------------------------
 
 
-def _scalars(state: PlanningState) -> tuple:
-    """The state as fresh python lists, in `_tail`'s argument order: PoI
-    ids, x, y, inspect times and likelihoods, then robot x, y and speeds,
-    then each robot's committed PoI as a row index (-1 when free) and the
-    inspection time it still needs there."""
-    return (
-        list(state.poi_ids),
-        list(state.poi_x),
-        list(state.poi_y),
-        list(state.inspect_times),
-        list(state.likelihoods),
-        list(state.robot_x),
-        list(state.robot_y),
-        list(state.robot_speeds),
-        [-1 if t is None else state.index_of(t) for t in state.robot_targets],
-        list(state.robot_remaining),
-    )
+def _scalars(state: PlanningState, ids: Sequence[int]) -> tuple:
+    """The rows of the ascending PoI ids `ids` as fresh python lists, in
+    `_tail`'s argument order: PoI ids, x, y, inspect times and
+    likelihoods, then robot x, y and speeds, then each robot's committed
+    PoI as a row index and the inspection time it still needs there.  A
+    robot that is free, or committed to a PoI outside ids, gets -1 and
+    0.0."""
+    rows = [state.index_of(pid) for pid in ids]
+    row_of = {pid: g for g, pid in enumerate(ids)}
+    targ = [row_of.get(t, -1) for t in state.robot_targets]
+    pois = [[col[g] for g in rows] for col in (state.poi_x, state.poi_y, state.inspect_times, state.likelihoods)]
+    robots = [list(col) for col in (state.robot_x, state.robot_y, state.robot_speeds)]
+    rem = [0.0 if t < 0 else q for t, q in zip(targ, state.robot_remaining)]
+    return (list(ids), *pois, *robots, targ, rem)
 
 
 def _least_need(insp: List[float], targ: List[int], rem: List[float]) -> List[float]:
@@ -529,10 +511,12 @@ def _column_min(rows: Sequence[List[float]], n: int) -> List[float]:
 class _Search:
     """One branch-and-bound minimum over assignment/reveal sequences.
 
-    The object holds the per-search constants, the incumbent (best_cost
-    and its root target tuple, best_tuple) and the two counters,
-    nodes_expanded and children_pruned; `run` searches and returns the
-    cost and the root target tuple.
+    The object reads the priority rows (the ascending PoI ids it is
+    given) of the mission state into lists once, with `_scalars`, and
+    searches those PoIs alone.  It holds the per-search constants, the
+    incumbent (best_cost and its root target tuple, best_tuple) and the
+    two counters, nodes_expanded and children_pruned; `run` searches and
+    returns the cost and the root target tuple.
 
     Nodes alternate between commitment layers (`assign`: the
     lowest-index free robot picks an unclaimed PoI, or any remaining one
@@ -562,13 +546,15 @@ class _Search:
     inspection term, child layouts by revealed row, bound).
     """
 
-    def __init__(self, state: PlanningState, config: PlannerConfig, node_log: Optional[List[NodeRecord]]):
+    def __init__(
+        self, state: PlanningState, ids: Sequence[int], config: PlannerConfig, node_log: Optional[List[NodeRecord]]
+    ):
         self.do_prune = config.prune
         self.cap = config.depth_cap
         self.n_rob = state.n_robots
-        self.aware = config.prune and state.n_pois >= config.depth_cap + state.n_robots
+        self.aware = config.prune and len(ids) >= config.depth_cap + state.n_robots
         self.node_log = node_log
-        self.root = _scalars(state)
+        self.root = _scalars(state, ids)
         insp = self.root[3]
         self.spd, self.tgt0, self.rem0 = self.root[7:]
         # Robots holding the same progress are interchangeable at the root.
@@ -863,9 +849,10 @@ def plan_detailed(
 ) -> PlanResult:
     """The planner's search: best first joint action and what it cost.
 
-    The state is first cut to `select_priority_subset`; subset_ids holds
-    the PoI ids searched, which are all of state.poi_ids whenever the
-    state has at most n_priority PoIs.  cost is the minimum expected
+    The search reads only the state's `select_priority_subset` rows, and
+    a commitment to a PoI outside them is dropped; subset_ids holds the
+    PoI ids searched, which are all of state.poi_ids whenever the state
+    has at most n_priority PoIs.  cost is the minimum expected
     cost over assignment/reveal sequences on that subset, with a greedy
     tail after depth_cap reveals, and action is the first joint action
     of the cheapest sequence (ties go to the lexicographically smallest
@@ -888,8 +875,7 @@ def plan_detailed(
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
     subset = select_priority_subset(state, config)
-    sub = state.subset(subset) if len(subset) < state.n_pois else state
-    search = _Search(sub, config, node_log)
+    search = _Search(state, subset, config, node_log)
     cost, targets = search.run()
     return PlanResult(
         action=JointAction(targets),

@@ -318,6 +318,13 @@ class TestBadInputs:
         ("run", ["--depth-cap", "0"], "depth_cap must be >= 1"),
         ("simulate", ["--depth-cap", "0"], "depth_cap must be >= 1"),
         ("generate", ["--n-pois", "-1"], "n_pois must be >= 0, got -1"),
+        ("run", ["--estimator", "bogus"], "unknown estimator choice 'bogus'"),
+        ("simulate", ["--estimator", "bogus"], "unknown estimator choice 'bogus'"),
+        ("run", ["--n-pois", "-1"], "n_pois must be >= 0"),
+        ("fit", ["--n-pois", "-1"], "n_pois must be >= 1, got -1"),
+        ("fit", ["--n-pois", "0"], "n_pois must be >= 1, got 0"),
+        ("fit", ["--n-trials", "0"], "n_trials must be >= 1, got 0"),
+        ("generate", ["--n-trials", "-1"], "n_trials must be >= 0, got -1"),
     ])
     def test_flag(self, command, flag, message, tmp_path, capsys):
         out = tmp_path / "out"
@@ -336,6 +343,57 @@ class TestBadInputs:
         _assert_usage_error(capsys, command, [*_small_flags(command), flag, value, "--out-dir", str(out)],
                             f"No such file or directory: {str(missing)!r}")
         assert not out.exists()
+
+    def test_counts_are_checked_before_any_world_is_built(self, tmp_path, capsys, monkeypatch):
+        def world(*args):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr(cli, "generate_scenario", world)
+        out = tmp_path / "out"
+        for command, flag in (("fit", "--n-pois"), ("fit", "--n-trials"), ("generate", "--n-trials")):
+            _assert_usage_error(capsys, command, [*_small_flags(command), flag, "-1", "--out-dir", str(out)],
+                                f"{flag[2:].replace('-', '_')} must be >= ")
+            assert not out.exists()
+
+    def test_no_trials_generates_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["generate", "--n-trials", "0", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 0 scenario/graph pairs to {out}\n"
+        assert not out.exists()
+
+    def test_missing_external_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, "run", [*_small_flags("run"), "--estimator", f"external:{missing}",
+                                            "--out-dir", str(out)],
+                            f"No such file or directory: {str(missing)!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, content, message", [
+        ("fitted", "{", "Expecting property name"),
+        ("fitted", "[1, 2]", "does not hold a JSON object"),
+        ("fitted", '{"sigma_hat": 60.0}', "lacks one of sigma_hat, susceptibility_hat and train_log_likelihood"),
+        ("external", "[1, 2]", "does not hold a JSON object"),
+        ("external", '{"0": 0.5}', "external likelihoods missing PoI ids [1, 2]"),
+        ("external", '{"7": {"0": 0.5}}', "external likelihood file has no entry for seed 0"),
+    ])
+    def test_malformed_estimator_file(self, kind, content, message, tmp_path, capsys):
+        bad = tmp_path / "likelihoods.json"
+        bad.write_text(content)
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, "run", [*_small_flags("run"), "--estimator", f"{kind}:{bad}",
+                                            "--out-dir", str(out)], message)
+        assert not out.exists()
+
+    def test_external_file_missing_a_later_seed_is_a_fault_of_the_run(self, tmp_path):
+        # The first world's likelihoods are checked up front; a seed the
+        # file lacks for a later world fails once the run is under way.
+        ext = tmp_path / "ext.json"
+        ext.write_text(json.dumps({"0": {str(i): 0.5 for i in range(3)}}))
+        out = tmp_path / "out"
+        with pytest.raises(KeyError, match="no entry for seed 1"):
+            cli.main(["run", "--n-trials", "2", "--n-pois", "3", "--n-robots", "1", "--planner", "greedy",
+                      "--estimator", f"external:{ext}", "--out-dir", str(out)])
 
     def test_fault_in_a_mission_is_not_a_usage_error(self, tmp_path, monkeypatch):
         def fault(*args):

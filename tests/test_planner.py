@@ -60,9 +60,20 @@ def _full_search(st, cfg):
     return res.cost, res.action
 
 
+def _cut_state(st, ids):
+    """The state's rows of ids, built by make_state; a commitment to a
+    PoI outside ids is dropped."""
+    rows = [(pid, st.poi_x[j], st.poi_y[j], st.inspect_times[j], st.likelihoods[j])
+            for pid, j in zip(ids, map(st.index_of, ids))]
+    robots = [m.RobotState(i, x, y, v, *((t, q) if t in ids else (None, None)))
+              for i, (x, y, v, t, q) in enumerate(zip(st.robot_x, st.robot_y, st.robot_speeds,
+                                                      st.robot_targets, st.robot_remaining))]
+    return m.make_state(rows, robots, st.elapsed)
+
+
 def _rollout(st):
     """The greedy tail's completion cost from the state, uncut."""
-    return _tail(*_scalars(st), 0.0, math.inf)
+    return _tail(*_scalars(st, st.poi_ids), 0.0, math.inf)
 
 
 def _two_poi_instance():
@@ -113,11 +124,17 @@ class TestMakeState:
         assert st.robot_targets == (4, None) and type(st.robot_targets[0]) is int
         assert all(type(pid) is int for pid in st.poi_ids)
         succ = m.action_outcome(st, m.JointAction((4, 1))).successor
-        for state in (st, st.subset([4]), succ):
+        for state in (st, succ):
             for name in floats:
                 col = getattr(state, name)
                 assert type(col) is tuple and all(type(v) is float for v in col), name
             assert type(state.elapsed) is float
+        # The search's lists, read from the state's rows of a subset.
+        pids, *cols, targ, rem = _scalars(st, [4])
+        for k, col in enumerate([*cols, rem]):
+            assert type(col) is list and all(type(v) is float for v in col), k
+        assert (pids, targ, rem) == ([4], [0, -1], [7.0, 0.0])
+        assert all(type(v) is int for v in pids + targ)
 
     def test_validation_messages(self):
         rob = [m.RobotState(0, 0.0, 0.0)]
@@ -159,25 +176,19 @@ class TestMakeState:
         st = m.make_state([(i, float(i), 0.0, 20.0, 0.1 * i) for i in range(4)],
                           [m.RobotState(0, 1.0, 0.0, 1.0, 1, 5.0),
                            m.RobotState(1, 3.0, 0.0, 1.0, 3, 7.0)])
-        sub = st.subset([1, 2])
-        assert sub.robot_targets == (1, None)
-        assert sub.robot_remaining == (5.0, 0.0)
+        pids, *_, targ, rem = _scalars(st, [1, 2])
+        assert pids == [1, 2]
+        assert targ == [0, -1]
+        assert rem == [5.0, 0.0]
 
     def test_subset_and_index_of(self):
         st = m.make_state([(i, float(i), 0.0, 0.0, 0.1 * i) for i in range(5)],
                           [m.RobotState(0, 0.0, 0.0)])
-        sub = st.subset([3, 1])
-        assert sub.poi_ids == (1, 3)
-        assert sub.poi_x == (1.0, 3.0)
+        pids, xs, ys, insp, lik = _scalars(st, [1, 3])[:5]
+        assert (pids, xs, ys, insp, lik) == ([1, 3], [1.0, 3.0], [0.0, 0.0], [0.0, 0.0], [0.1, 0.1 * 3])
         assert st.index_of(4) == 4
         with pytest.raises(KeyError):
             st.index_of(9)
-
-    def test_subset_rejects_a_duplicate_id(self):
-        st = m.make_state([(i, float(i), 0.0, 0.0, 0.1 * i) for i in range(3)],
-                          [m.RobotState(0, 0.0, 0.0)])
-        with pytest.raises(ValueError, match="duplicate PoI ids"):
-            st.subset([1, 1])
 
     def test_index_of_on_sparse_ids(self):
         st = m.make_state([(pid, float(pid), 0.0, 0.0, 0.5) for pid in (7, 2, 11, 4)],
@@ -678,13 +689,13 @@ class TestRollout:
                 robots, progress = _with_progress(prog_rng, pois, robots)
             st = _state_from(pois, robots, progress)
             acc = rng.choice([0.0, rng.uniform(0.0, 500.0)])
-            uncut = _tail(*_scalars(st), acc, math.inf)
+            uncut = _tail(*_scalars(st, st.poi_ids), acc, math.inf)
             assert uncut == _rollout(st)
             value = acc + uncut
             cutoffs = [value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf),
                        acc, 0.0, 2.0 * value] + [rng.uniform(acc, value) for _ in range(4)]
             for cutoff in cutoffs:
-                got = _tail(*_scalars(st), acc, cutoff)
+                got = _tail(*_scalars(st, st.poi_ids), acc, cutoff)
                 if value <= cutoff:
                     assert got.hex() == uncut.hex()
                 else:
@@ -743,10 +754,44 @@ class TestPlanAndPruning:
             robots = [[rng.uniform(-50, 50), rng.uniform(-50, 50), 1.0] for _ in range(2)]
             st = _state_from(pois, robots)
             subset = m.select_priority_subset(st, cfg)
-            want = _full_search(st.subset(subset), cfg)[1]
+            want = _full_search(_cut_state(st, subset), cfg)[1]
             got = m.plan(st, cfg)
             assert got.targets == want.targets
             assert set(got.targets) <= set(subset)
+
+        # Robots 0 and 2 stand part-way through inspecting PoIs; with 2
+        # fill picks for 3 robots, robot 2's target can fall outside the
+        # subset.  The search on the full state must match the full search
+        # on the subset state make_state builds, which keeps robot 0's
+        # progress and frees robot 2.  Its 8 PoIs take the commitment-aware
+        # bound at depth cap 4 and the position-only one at 6, although
+        # the full state has enough PoIs for the commitment-aware one.
+        rng = random.Random(405)
+        configs = [m.PlannerConfig(depth_cap=cap, n_priority=8, n_top_prob=6) for cap in (4, 6)]
+        both = 0
+        for _ in range(10):
+            pois = [(pid, rng.uniform(-150, 150), rng.uniform(-150, 150), 30.0, rng.random())
+                    for pid in range(15)]
+            p_in, p_out = rng.sample(pois, 2)
+            robots = [[p_in[1], p_in[2], 1.0], [rng.uniform(-50, 50), rng.uniform(-50, 50), 1.0],
+                      [p_out[1], p_out[2], 1.0]]
+            progress = [(p_in[0], rng.uniform(1.0, 29.0)), None, (p_out[0], rng.uniform(1.0, 29.0))]
+            st = _state_from(pois, robots, progress)
+            subset = m.select_priority_subset(st, configs[0])
+            if p_in[0] not in subset or p_out[0] in subset:
+                continue
+            both += 1
+            cut = _cut_state(st, subset)
+            assert cut.robot_targets == (p_in[0], None, None)
+            assert cut.robot_remaining == (progress[0][1], 0.0, 0.0)
+            for cfg in configs:
+                want = m.plan_detailed(cut, cfg)
+                assert want.subset_ids == cut.poi_ids == subset
+                got = m.plan_detailed(st, cfg)
+                assert (got.action, got.cost.hex(), got.nodes_expanded, got.children_pruned, got.subset_ids) == (
+                    want.action, want.cost.hex(), want.nodes_expanded, want.children_pruned, subset)
+                assert m.plan(st, cfg) == want.action
+        assert both >= 5, both
 
     def test_plan_detailed_reports_search_size(self):
         res = m.plan_detailed(_two_poi_instance(), CFG6)
@@ -831,12 +876,12 @@ class TestPinnedSearch:
 
 @functools.lru_cache(maxsize=None)
 def _seed0_decisions(n_pois, n_robots, every):
-    """Every `every`-th decision state of the seed-0 model mission, cut
-    to its priority subset, with the planner config it was planned with."""
+    """Every `every`-th decision state of the seed-0 model mission, with
+    its priority subset and the planner config it was planned with."""
     states = []
 
     def record(state, config):
-        states.append((state.subset(m.select_priority_subset(state, config)), config))
+        states.append((state, m.select_priority_subset(state, config), config))
         return m.plan(state, config)
 
     plan = simulator.plan
@@ -878,13 +923,14 @@ class TestSearchPieces:
         # 12 PoIs with 5 robots at depth cap 4, both commitment-aware.
         priced = held = searched = 0
         for n_pois, n_robots in ((36, 3), (12, 5)):
-            for st, cfg in _seed0_decisions(n_pois, n_robots, 4):
-                search = _RowPricedSearch(st, cfg, None)
+            for st, ids, cfg in _seed0_decisions(n_pois, n_robots, 4):
+                search = _RowPricedSearch(st, ids, cfg, None)
                 if not search.aware:
                     continue
                 searched += 1
                 cost, targets = search.run()
                 res = m.plan_detailed(st, cfg)
+                assert res.subset_ids == ids
                 assert (targets, cost.hex()) == (res.action.targets, res.cost.hex())
                 assert (search.nodes_expanded, search.children_pruned) == (res.nodes_expanded, res.children_pruned)
                 priced += search.priced
@@ -893,7 +939,7 @@ class TestSearchPieces:
 
     def test_chain_bound_charges_each_poi_its_earliest_arrival(self):
         st = _state_from([(0, 0.0, 5.0, 2.0, 0.5), (1, 0.0, -10.0, 0.0, 0.25)], [[0, 0, 1], [0, 14, 2]])
-        search = _Search(st, m.PlannerConfig(), None)
+        search = _Search(st, st.poi_ids, m.PlannerConfig(), None)
         rows = _travel_rows(st.robot_x, st.robot_y, st.robot_speeds, st.poi_x, st.poi_y)
         assert rows == [[5.0, 10.0], [4.5, 12.0]]
         # 7 + inspection term 1 + 0.5 * 4.5 + 0.25 * 10
@@ -907,7 +953,7 @@ class TestSearchPieces:
 
     def test_tie_rule_cuts_only_subtrees_that_cannot_precede(self):
         st = _state_from([(pid, float(pid), 0.0, 0.0, 0.5) for pid in range(9)], [[0, 0, 1]] * 3)
-        search = _Search(st, m.PlannerConfig(), None)
+        search = _Search(st, st.poi_ids, m.PlannerConfig(), None)
         search.best_cost, search.best_tuple = 5.0, (2, 4, 7)
         # Only an exactly-zero completion bound that meets the incumbent.
         assert not search.only_ties(5.0, 4.0, (3,))
