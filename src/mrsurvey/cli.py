@@ -220,9 +220,8 @@ def _cmd_fit(eff: Dict, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_run(eff: Dict, parser: argparse.ArgumentParser) -> int:
-    spec = _experiment_spec(eff)
     with _usage_errors(parser):
-        spec.validate()
+        spec = _experiment_spec(eff)
         # Every world resolves its likelihoods the same way, so an unknown
         # choice or a missing or malformed file fails here, on the first.
         resolve_likelihoods(generate_scenario(spec.seed_base, spec.n_pois[0]), spec.estimator)
@@ -257,7 +256,6 @@ def _cmd_simulate(eff: Dict, parser: argparse.ArgumentParser) -> int:
             speed=eff["speed"],
             seed=scenario.seed,
         )
-        config.validate()
         likelihoods = resolve_likelihoods(scenario, config.estimator)
     trace = run_mission(scenario, config, likelihoods)
     out_dir = eff["out_dir"]

@@ -92,7 +92,6 @@ def predict(params: FittedParams, scenario: Scenario) -> Dict[int, float]:
         map_radius=scenario.params.map_radius,
         combine_rule="noisy_or",
     )
-    gen.validate()
     return oracle_likelihoods(dataclasses.replace(scenario, params=gen))
 
 
@@ -357,14 +356,24 @@ def _read_object(path: str) -> dict:
     return data
 
 
+def _number(value, path: str) -> float:
+    """float(value); a value float() does not take raises ValueError."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{path}: {value!r} is not a number") from None
+
+
 def load_fitted(path: str) -> FittedParams:
     data = _read_object(path)
     if not {"sigma_hat", "susceptibility_hat", "train_log_likelihood"} <= data.keys():
         raise ValueError(f"{path} lacks one of sigma_hat, susceptibility_hat and train_log_likelihood")
+    if not isinstance(data["susceptibility_hat"], dict):
+        raise ValueError(f"{path}: susceptibility_hat is not a JSON object")
     return FittedParams(
-        sigma_hat=float(data["sigma_hat"]),
-        susceptibility_hat={k: float(v) for k, v in data["susceptibility_hat"].items()},
-        train_log_likelihood=float(data["train_log_likelihood"]),
+        sigma_hat=_number(data["sigma_hat"], path),
+        susceptibility_hat={k: _number(v, path) for k, v in data["susceptibility_hat"].items()},
+        train_log_likelihood=_number(data["train_log_likelihood"], path),
     )
 
 
@@ -381,13 +390,14 @@ def resolve_likelihoods(scenario: Scenario, choice: str) -> Dict[int, float]:
     if choice.startswith("fitted:"):
         return predict(load_fitted(choice.split(":", 1)[1]), scenario)
     if choice.startswith("external:"):
-        data = _read_object(choice.split(":", 1)[1])
+        path = choice.split(":", 1)[1]
+        data = _read_object(path)
         if data and all(isinstance(v, dict) for v in data.values()):
             key = str(scenario.seed)
             if key not in data:
                 raise KeyError(f"external likelihood file has no entry for seed {key}")
             data = data[key]
-        probs = {int(k): float(v) for k, v in data.items()}
+        probs = {int(k): _number(v, path) for k, v in data.items()}
         missing = [poi.id for poi in scenario.pois if poi.id not in probs]
         if missing:
             raise KeyError(f"external likelihoods missing PoI ids {missing}")

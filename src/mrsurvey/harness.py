@@ -34,7 +34,7 @@ class ExperimentSpec:
     speed: float = 1.0
     parallelism: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if not self.n_pois or not self.n_robots or not self.planners:
@@ -48,7 +48,7 @@ class ExperimentSpec:
         # Every mission's config, so a bad one fails before the first world.
         for n_robots in self.n_robots:
             for planner in self.planners:
-                MissionConfig(planner, self.planner_config, self.estimator, n_robots, self.speed).validate()
+                MissionConfig(planner, self.planner_config, self.estimator, n_robots, self.speed)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,6 @@ def _run_trial(
 
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     """Run every (n_pois, n_robots) cell for every planner with paired seeds."""
-    spec.validate()
     tasks = [(n_p, spec.seed_base + i) for n_p in spec.n_pois for i in range(spec.n_trials)]
     if spec.parallelism > 1:
         # Imported here: the pool's modules cost every serial caller an

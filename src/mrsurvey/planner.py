@@ -177,7 +177,7 @@ class PlannerConfig:
     n_top_prob: int = 6
     prune: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.depth_cap < 1:
             raise ValueError("depth_cap must be >= 1")
         if self.n_top_prob > self.n_priority:
@@ -819,7 +819,6 @@ def select_priority_subset(state: PlanningState, config: PlannerConfig) -> Tuple
     shares that exact spot).  A target left out of the subset loses its
     progress for this decision.
     """
-    config.validate()
     n = state.n_pois
     if n <= config.n_priority:
         return tuple(state.poi_ids)
@@ -871,7 +870,6 @@ def plan_detailed(
     segment, so a leaf can cost less than its bound and pruning can
     change the result.
     """
-    config.validate()
     if state.n_pois == 0:
         raise ValueError("empty remaining set")
     subset = select_priority_subset(state, config)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -47,7 +48,7 @@ class GenerativeParams:
     map_radius: float = 500.0
     combine_rule: str = "noisy_or"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not math.isfinite(self.map_radius) or self.map_radius <= 0.0:
             raise ValueError(f"map_radius must be finite and positive, got {self.map_radius}")
         if not math.isfinite(self.sigma) or self.sigma <= 0.0:
@@ -140,7 +141,6 @@ def generate_scenario(seed: int, n_pois: int, params: GenerativeParams | None = 
     """
     if params is None:
         params = GenerativeParams()
-    params.validate()
     if n_pois < 0:
         raise ValueError(f"n_pois must be >= 0, got {n_pois}")
 
@@ -221,6 +221,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """The scenario a dict from scenario_to_dict describes.
+
+    Bad generative parameters, a repeated PoI id and an inspect time
+    that is negative or not finite raise ValueError.
+    """
     params = GenerativeParams(
         sigma=float(data["params"]["sigma"]),
         susceptibility={k: float(v) for k, v in data["params"]["susceptibility"].items()},
@@ -239,6 +244,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
         for d in data["pois"]
     )
+    repeated = sorted(i for i, n in Counter(poi.id for poi in pois).items() if n > 1)
+    if repeated:
+        raise ValueError(f"duplicate PoI ids {repeated}")
+    bad = [poi.id for poi in pois if not 0.0 <= poi.inspect_time < math.inf]
+    if bad:
+        raise ValueError(f"inspect times of PoI ids {bad} must be finite and >= 0")
     pockets = tuple(WindPocket(float(d["x"]), float(d["y"])) for d in data["wind_pockets"])
     return Scenario(
         seed=int(data["seed"]),

@@ -59,14 +59,13 @@ class MissionConfig:
     speed: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.planner not in PLANNER_NAMES:
             raise ValueError(f"unknown planner {self.planner!r}")
         if self.n_robots < 1:
             raise ValueError("n_robots must be >= 1")
         if not math.isfinite(self.speed) or self.speed <= 0.0:
             raise ValueError("speed must be finite and > 0")
-        self.planner_config.validate()
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,6 @@ def run_mission(
     likelihoods: Optional[Dict[int, float]] = None,
 ) -> MissionTrace:
     """Simulate one mission; deterministic given scenario and config."""
-    config.validate()
     raw = dict(likelihoods) if likelihoods is not None else resolve_likelihoods(scenario, config.estimator)
     missing = [p.id for p in scenario.pois if p.id not in raw]
     if missing:
@@ -169,8 +167,9 @@ def run_mission(
 
     pois = {p.id: p for p in scenario.pois}
     damaged_left = sum(1 for p in pois.values() if p.damaged)
+    # Rows from scenario.pois, not pois, so make_state sees a repeated id.
     state = make_state(
-        [(pid, pois[pid].x, pois[pid].y, pois[pid].inspect_time, clamped[pid]) for pid in sorted(pois)],
+        [(p.id, p.x, p.y, p.inspect_time, clamped[p.id]) for p in scenario.pois],
         [RobotState(i, scenario.start[0], scenario.start[1], config.speed) for i in range(config.n_robots)],
     )
 

@@ -10,7 +10,7 @@ import pytest
 from mrsurvey import cli
 from mrsurvey.harness import ExperimentSpec
 from mrsurvey.planner import PlannerConfig
-from mrsurvey.scenario import load_scenario
+from mrsurvey.scenario import generate_scenario, load_scenario, scenario_to_dict
 from mrsurvey.simulator import MissionConfig, load_trace
 
 
@@ -383,6 +383,54 @@ class TestBadInputs:
         out = tmp_path / "out"
         _assert_usage_error(capsys, "run", [*_small_flags("run"), "--estimator", f"{kind}:{bad}",
                                             "--out-dir", str(out)], message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("kind, content, message", [
+        ("fitted", '{"sigma_hat": 60, "susceptibility_hat": 5, "train_log_likelihood": 0}',
+         "susceptibility_hat is not a JSON object"),
+        ("fitted", '{"sigma_hat": [60], "susceptibility_hat": {}, "train_log_likelihood": 0}',
+         "[60] is not a number"),
+        ("external", '{"0": [0.5]}', "[0.5] is not a number"),
+    ], ids=["fitted_susceptibility", "fitted_sigma", "external_value"])
+    def test_wrong_typed_estimator_file(self, command, kind, content, message, tmp_path, capsys):
+        bad = tmp_path / "likelihoods.json"
+        bad.write_text(content)
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, command, [*_small_flags(command), "--estimator", f"{kind}:{bad}",
+                                              "--out-dir", str(out)], message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"combine_rule": "min"}, "unknown combine_rule 'min'"),
+        ({"susceptibility": {"forest": 3.0, "field": 0.8, "building": 0.2}},
+         "susceptibility['forest'] must be in [0, 1], got 3.0"),
+        ({"sigma": -5}, "sigma must be finite and positive, got -5.0"),
+        ({"map_radius": 0}, "map_radius must be finite and positive, got 0.0"),
+        ({"n_wind_pockets": -1}, "n_wind_pockets must be >= 0, got -1"),
+    ], ids=["combine_rule", "susceptibility", "sigma", "map_radius", "n_wind_pockets"])
+    def test_scenario_file_with_bad_params(self, edit, message, tmp_path, capsys):
+        world = scenario_to_dict(generate_scenario(9, 5))
+        world["params"].update(edit)
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(world))
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, "simulate", ["--scenario", str(path), "--planner", "greedy",
+                                                 "--out-dir", str(out)], message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("id", 1, "duplicate PoI ids [1]"),
+        ("inspect_time", -5.0, "inspect times of PoI ids [2] must be finite and >= 0"),
+    ], ids=["repeated_id", "negative_inspect_time"])
+    def test_scenario_file_with_unusable_pois(self, key, value, message, tmp_path, capsys):
+        world = scenario_to_dict(generate_scenario(9, 5))
+        world["pois"][2][key] = value
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(world))
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, "simulate", ["--scenario", str(path), "--planner", "greedy",
+                                                 "--out-dir", str(out)], message)
         assert not out.exists()
 
     def test_external_file_missing_a_later_seed_is_a_fault_of_the_run(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -387,6 +388,25 @@ class TestPlumbing:
         path.write_text(json.dumps(fitted_to_dict(TRUE_PARAMS) | edit))
         with pytest.raises(ValueError):
             resolve_likelihoods(scen, f"fitted:{path}")
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"susceptibility_hat": 5}, "susceptibility_hat is not a JSON object"),
+        ({"sigma_hat": None}, "None is not a number"),
+        ({"susceptibility_hat": {"forest": [1.0], "field": 0.8, "building": 0.2}}, "[1.0] is not a number"),
+        ({"train_log_likelihood": {}}, "{} is not a number"),
+    ])
+    def test_load_fitted_rejects_wrong_typed_values(self, tmp_path, edit, message):
+        path = tmp_path / "fp.json"
+        path.write_text(json.dumps(fitted_to_dict(TRUE_PARAMS) | edit))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_fitted(str(path))
+
+    @pytest.mark.parametrize("content", [{"0": [0.5]}, {"5": {"0": 0.5, "1": None, "2": 0.5}}])
+    def test_resolve_external_rejects_wrong_typed_values(self, tmp_path, content):
+        path = tmp_path / "ext.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(ValueError, match="is not a number"):
+            resolve_likelihoods(generate_scenario(5, 3), f"external:{path}")
 
     def test_resolve_external_flat_and_nested(self, tmp_path):
         scen = generate_scenario(5, 3)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -42,6 +43,32 @@ def tiny_report():
     return run_experiment(_tiny_spec())
 
 
+BAD_SPECS = [
+    ({"n_trials": 0}, "n_trials must be >= 1"),
+    ({"n_pois": ()}, "must be non-empty"),
+    ({"n_robots": ()}, "must be non-empty"),
+    ({"planners": ()}, "must be non-empty"),
+    ({"n_pois": (5, 5)}, "must not repeat an entry"),
+    ({"n_pois": (5, -1)}, "n_pois must be >= 0"),
+    ({"parallelism": 0}, "parallelism must be >= 1"),
+    ({"planners": ("model", "foo")}, "unknown planner 'foo'"),
+    ({"n_robots": (1, 0)}, "n_robots must be >= 1"),
+    ({"speed": math.nan}, "speed must be finite and > 0"),
+]
+
+
+class TestExperimentSpec:
+    @pytest.mark.parametrize("edit, message", BAD_SPECS)
+    def test_bad_value_cannot_be_made(self, edit, message):
+        with pytest.raises(ValueError, match=message):
+            _tiny_spec(**edit)
+
+    @pytest.mark.parametrize("edit, message", BAD_SPECS)
+    def test_bad_value_cannot_be_replaced_in(self, edit, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(_tiny_spec(), **edit)
+
+
 class TestRunExperiment:
     def test_smallest_spec(self):
         rep = run_experiment(_tiny_spec(n_trials=1, planners=("optimistic",)))
@@ -61,12 +88,16 @@ class TestRunExperiment:
         ({"planners": ("model", "foo")}, "unknown planner 'foo'"),
         ({"n_robots": (1, 0)}, "n_robots must be >= 1"),
         ({"speed": -1.0}, "speed must be finite and > 0"),
-        ({"planner_config": m.PlannerConfig(depth_cap=0)}, "depth_cap must be >= 1"),
+        ({"planner_config": {"depth_cap": 0}}, "depth_cap must be >= 1"),
     ])
     def test_bad_mission_config_rejected_before_the_first_world(self, overrides, message, monkeypatch):
         worlds = []
         monkeypatch.setattr(harness, "generate_scenario", lambda *a: worlds.append(a))
         with pytest.raises(ValueError, match=message):
+            # A planner_config entry holds PlannerConfig arguments, which
+            # are checked when the config is made.
+            if "planner_config" in overrides:
+                overrides = {**overrides, "planner_config": m.PlannerConfig(**overrides["planner_config"])}
             run_experiment(_tiny_spec(**overrides))
         assert worlds == []
 

@@ -1,5 +1,6 @@
 """Tests for the joint-action planning engine."""
 
+import dataclasses
 import functools
 import math
 import random
@@ -966,10 +967,19 @@ class TestSearchPieces:
             assert search.only_ties(5.0, 5.0, cand) == (cand >= search.best_tuple)
 
 
+BAD_PLANNER_CONFIGS = [
+    ({"depth_cap": 0}, "depth_cap must be >= 1"),
+    ({"n_priority": 4, "n_top_prob": 6}, "n_top_prob cannot exceed n_priority"),
+    ({"n_priority": 0, "n_top_prob": 0}, "n_priority must be >= 1"),
+]
+
+
 class TestPlannerConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            m.PlannerConfig(depth_cap=0).validate()
-        with pytest.raises(ValueError):
-            m.PlannerConfig(n_priority=4, n_top_prob=6).validate()
-        m.PlannerConfig().validate()
+        # Checked when made, and again by dataclasses.replace.
+        for edit, message in BAD_PLANNER_CONFIGS:
+            with pytest.raises(ValueError, match=message):
+                m.PlannerConfig(**edit)
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(m.PlannerConfig(), **edit)
+        m.PlannerConfig()

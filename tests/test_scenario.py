@@ -1,7 +1,9 @@
 """Tests for world generation, the damage model, and graph export."""
 
+import dataclasses
 import json
 import math
+import re
 import random
 
 import pytest
@@ -149,7 +151,56 @@ class TestGenerateScenario:
             assert math.hypot(p.x, p.y) <= 200.0 + 1e-9
 
 
+# One bad value of each generative knob, with the message it raises.
+BAD_PARAMS = [
+    ({"combine_rule": "min"}, "unknown combine_rule 'min'"),
+    ({"susceptibility": {"forest": 3.0, "field": 0.8, "building": 0.2}},
+     "susceptibility['forest'] must be in [0, 1], got 3.0"),
+    ({"susceptibility": {"forest": 1.0, "field": math.nan, "building": 0.2}},
+     "susceptibility['field'] must be in [0, 1], got nan"),
+    ({"sigma": -5.0}, "sigma must be finite and positive, got -5.0"),
+    ({"sigma": math.inf}, "sigma must be finite and positive, got inf"),
+    ({"map_radius": 0.0}, "map_radius must be finite and positive, got 0.0"),
+    ({"map_radius": math.nan}, "map_radius must be finite and positive, got nan"),
+    ({"n_wind_pockets": -1}, "n_wind_pockets must be >= 0, got -1"),
+]
+BAD_IDS = ["combine_rule", "susceptibility", "susceptibility_nan", "sigma", "sigma_inf",
+           "map_radius", "map_radius_nan", "n_wind_pockets"]
+
+
+class TestGenerativeParams:
+    @pytest.mark.parametrize("edit, message", BAD_PARAMS, ids=BAD_IDS)
+    def test_bad_value_cannot_be_made(self, edit, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GenerativeParams(**edit)
+
+    @pytest.mark.parametrize("edit, message", BAD_PARAMS, ids=BAD_IDS)
+    def test_bad_value_cannot_be_replaced_in(self, edit, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(GenerativeParams(), **edit)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("edit, message", BAD_PARAMS, ids=BAD_IDS)
+    def test_load_rejects_bad_params(self, edit, message, tmp_path):
+        world = scenario_to_dict(generate_scenario(23, 5))
+        world["params"].update(edit)
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(world))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_scenario(str(path))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("id", 1, "duplicate PoI ids [1]"),
+        ("inspect_time", -5.0, "inspect times of PoI ids [2] must be finite and >= 0"),
+        ("inspect_time", math.inf, "inspect times of PoI ids [2] must be finite and >= 0"),
+    ], ids=["repeated_id", "negative_inspect_time", "infinite_inspect_time"])
+    def test_load_rejects_pois_a_mission_cannot_use(self, key, value, message):
+        world = scenario_to_dict(generate_scenario(23, 5))
+        world["pois"][2][key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scenario_from_dict(world)
+
     def test_dict_round_trip_stable(self):
         scen = generate_scenario(19, 8)
         d1 = scenario_to_dict(scen)

@@ -22,7 +22,35 @@ def _single_poi_scenario(damaged, dist=50.0):
     )
 
 
+BAD_MISSION_CONFIGS = [
+    ({"planner": "bogus"}, "unknown planner 'bogus'"),
+    ({"n_robots": 0}, "n_robots must be >= 1"),
+    ({"speed": -1.0}, "speed must be finite and > 0"),
+    ({"speed": math.inf}, "speed must be finite and > 0"),
+    ({"speed": math.nan}, "speed must be finite and > 0"),
+]
+
+
+class TestMissionConfig:
+    @pytest.mark.parametrize("edit, message", BAD_MISSION_CONFIGS)
+    def test_bad_value_cannot_be_made(self, edit, message):
+        with pytest.raises(ValueError, match=message):
+            MissionConfig(**edit)
+
+    @pytest.mark.parametrize("edit, message", BAD_MISSION_CONFIGS)
+    def test_bad_value_cannot_be_replaced_in(self, edit, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(MissionConfig(), **edit)
+
+
 class TestRunMission:
+    def test_repeated_poi_id_rejected(self):
+        # Keying PoIs by id would drop the second PoI 0 and fly one PoI.
+        pois = (PoI(id=0, x=50.0, y=0.0, poi_class="forest"), PoI(id=0, x=-50.0, y=0.0, poi_class="field"))
+        scen = Scenario(seed=0, params=GenerativeParams(), start=(0.0, 0.0), pois=pois, wind_pockets=())
+        with pytest.raises(ValueError, match="duplicate PoI ids"):
+            run_mission(scen, MissionConfig(planner="greedy"), likelihoods={0: 0.5})
+
     def test_single_damaged_poi_closed_form(self):
         trace = run_mission(_single_poi_scenario(True), MissionConfig(), likelihoods={0: 0.3})
         assert trace.reveal_log == ((80.0, 0, True),)
