@@ -19,11 +19,9 @@ from .estimator import (
 )
 from .harness import AggregateReport, CellStats, ExperimentSpec, emit_outputs, run_experiment
 from .planner import (
-    ActionOutcome,
     JointAction,
     PlannerConfig,
     PlanningState,
-    PlanResult,
     RobotState,
     action_outcome,
     make_state,
@@ -35,7 +33,6 @@ from .scenario import (
     GenerativeParams,
     PoI,
     Scenario,
-    ScenarioGraph,
     WindPocket,
     build_graph,
     damage_probability,
@@ -45,12 +42,8 @@ from .scenario import (
     write_scenario,
 )
 from .simulator import (
-    CurvePoint,
     MissionConfig,
     MissionTrace,
-    PlanningCallStats,
-    ReplayResult,
-    SimEvent,
     load_trace,
     replay_check,
     run_mission,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 from typing import Dict, Optional, Sequence, Tuple
@@ -20,7 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .estimator import fit_estimator, resolve_likelihoods, write_fitted
 from .harness import ExperimentSpec, emit_outputs, run_experiment
 from .planner import PlannerConfig
-from .scenario import build_graph, generate_scenario, load_scenario, write_graph, write_scenario
+from .scenario import build_graph, generate_scenario, load_scenario, read_object, value, write_graph, write_scenario
 from .simulator import MissionConfig, replay_check, run_mission, write_trace
 
 # Flag defaults come from the dataclasses, so the command line always
@@ -56,22 +55,8 @@ OPTIONS: Dict[str, Tuple[object, Tuple[str, ...], Dict]] = {
 }
 
 
-def _as_int_tuple(v) -> Tuple[int, ...]:
-    if isinstance(v, int):
-        return (v,)
-    if isinstance(v, (list, tuple)):
-        return tuple(int(x) for x in v)
-    return tuple(int(x) for x in str(v).split(",") if x.strip())
-
-
-def _as_str_tuple(v) -> Tuple[str, ...]:
-    if isinstance(v, str):
-        return tuple(x.strip() for x in v.split(",") if x.strip())
-    return tuple(str(x) for x in v)
-
-
-# The values `run` takes as comma lists, with their parsers.
-_LISTS = {"n_pois": _as_int_tuple, "n_robots": _as_int_tuple, "planner": _as_str_tuple}
+# The values `run` takes as comma lists, with the type of one entry.
+_LISTS = {"n_pois": int, "n_robots": int, "planner": str}
 
 
 def _reads(command: str) -> Tuple[str, ...]:
@@ -94,48 +79,64 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _entry(obj, key, kind, where: Optional[str]):
+    """obj[key] as one value of kind.  Text (a flag, or a JSON string in
+    a config file) converts the way the flag does; any other JSON value
+    must already be of the kind (`scenario.value`)."""
+    val = obj[key]
+    return kind(val) if isinstance(val, str) else value(obj, key, kind, where)
+
+
+def _option(obj, key: str, where: Optional[str]):
+    """obj[key] as option key takes it; a list value is a tuple, given as
+    comma-separated text, a JSON list of entries, or one entry."""
+    kind = _LISTS.get(key) or OPTIONS[key][2].get("type", str)
+    val = obj[key]
+    if key not in _LISTS:
+        return _entry(obj, key, kind, where)
+    if isinstance(val, str):
+        return tuple(kind(x.strip()) for x in val.split(",") if x.strip())
+    if isinstance(val, list):
+        return tuple(_entry(val, i, kind, where) for i in range(len(val)))
+    return (_entry(obj, key, kind, where),)
+
+
 def _effective(args: argparse.Namespace) -> Dict:
     """The command's values: defaults, then the config file, then flags.
 
-    Every value is converted by its `OPTIONS` type (or list parser).
-    `run` gets a tuple for each list value; every other command gets the
-    one entry.  A config file that cannot be read as a JSON object, a
-    key the command does not read, a value that does not convert, and a
-    list of other than one entry outside `run` are usage errors of the
-    command, raised before it writes anything.
+    Every given value is converted by `_option`.  `run` gets a tuple for
+    each list value; every other command gets the one entry.  A config
+    file that cannot be read as a JSON object, a key the command does
+    not read, a value that does not convert, and a list of other than
+    one entry outside `run` are usage errors of the command, raised
+    before it writes anything; a config file's are named by its path.
     """
     command, parser = args.command, args.command_parser
     reads = _reads(command)
     eff = {key: OPTIONS[key][0] for key in reads}
     if command != "run":
-        eff.update((key, eff[key][:1]) for key in _LISTS if key in eff)
+        eff.update((key, eff[key][0]) for key in _LISTS if key in eff)
+    # Where each given value is read from: the config file, unless a flag
+    # overrides it.
+    given = {}
     if args.config:
-        try:
-            with open(args.config) as f:
-                config = json.load(f)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot read --config {args.config}: {exc}")
-        if not isinstance(config, dict):
-            parser.error(f"--config {args.config} does not hold a JSON object")
-        for key, val in config.items():
+        where = f"--config {args.config}"
+        with _usage_errors(parser):
+            config = read_object(args.config, where)
+        for key in config:
             if key not in reads:
                 parser.error(f"unknown config key {key!r} for {command}")
-            eff[key] = val
-    for key in reads:
-        val = getattr(args, key)
-        if val is not None:
-            eff[key] = val
-    for key in reads:
-        val = eff[key]
-        if val is None:
-            continue
+            given[key] = (config, where)
+    flags = vars(args)
+    given.update((key, (flags, None)) for key in reads if flags[key] is not None)
+    for key, (obj, where) in given.items():
         try:
-            eff[key] = _LISTS[key](val) if key in _LISTS else OPTIONS[key][2].get("type", str)(val)
-        except (TypeError, ValueError):
-            parser.error(f"invalid {key} value: {val!r}")
+            eff[key] = _option(obj, key, where)
+        except ValueError:
+            parser.error(f"{where + ': ' if where else ''}invalid {key} value: {obj[key]!r}")
         if key in _LISTS and command != "run":
             if len(eff[key]) != 1:
-                parser.error(f"{command} takes one {key} value, got {val!r}")
+                parser.error(f"{command} takes one {key} value, got {obj[key]!r}")
             eff[key] = eff[key][0]
     return eff
 
@@ -179,15 +180,15 @@ def _usage_errors(parser: argparse.ArgumentParser):
 
 
 def _check_counts(parser: argparse.ArgumentParser, eff: Dict, **floors: int) -> None:
-    """A count below its floor is a usage error, raised before any world
-    is built."""
+    """A count or seed below its floor is a usage error, raised before
+    any world is built."""
     for key, floor in floors.items():
         if eff[key] < floor:
             parser.error(f"{key} must be >= {floor}, got {eff[key]}")
 
 
 def _cmd_generate(eff: Dict, parser: argparse.ArgumentParser) -> int:
-    _check_counts(parser, eff, n_trials=0, n_pois=0)
+    _check_counts(parser, eff, n_trials=0, n_pois=0, seed=0)
     out_dir = eff["out_dir"]
     for i in range(eff["n_trials"]):
         seed = eff["seed"] + i
@@ -201,7 +202,7 @@ def _cmd_generate(eff: Dict, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_fit(eff: Dict, parser: argparse.ArgumentParser) -> int:
     # The fit needs at least one PoI to learn from.
-    _check_counts(parser, eff, n_trials=1, n_pois=1)
+    _check_counts(parser, eff, n_trials=1, n_pois=1, seed=0)
     # A generator: the fit reads one world at a time and keeps none.
     seed, n_pois = eff["seed"], eff["n_pois"]
     params = fit_estimator(generate_scenario(seed + i, n_pois) for i in range(eff["n_trials"]))

@@ -41,6 +41,8 @@ from .scenario import (
     Scenario,
     WindPocket,
     damage_probability,
+    read_object,
+    value,
 )
 
 SIGMA_BRACKET = (5.0, 500.0)
@@ -347,33 +349,15 @@ def write_fitted(params: FittedParams, path: str) -> None:
         f.write("\n")
 
 
-def _read_object(path: str) -> dict:
-    """The JSON object the file at path holds; anything else raises ValueError."""
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path} does not hold a JSON object")
-    return data
-
-
-def _number(value, path: str) -> float:
-    """float(value); a value float() does not take raises ValueError."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{path}: {value!r} is not a number") from None
-
-
 def load_fitted(path: str) -> FittedParams:
-    data = _read_object(path)
+    data = read_object(path)
     if not {"sigma_hat", "susceptibility_hat", "train_log_likelihood"} <= data.keys():
         raise ValueError(f"{path} lacks one of sigma_hat, susceptibility_hat and train_log_likelihood")
-    if not isinstance(data["susceptibility_hat"], dict):
-        raise ValueError(f"{path}: susceptibility_hat is not a JSON object")
+    susceptibility = value(data, "susceptibility_hat", dict, path)
     return FittedParams(
-        sigma_hat=_number(data["sigma_hat"], path),
-        susceptibility_hat={k: _number(v, path) for k, v in data["susceptibility_hat"].items()},
-        train_log_likelihood=_number(data["train_log_likelihood"], path),
+        sigma_hat=value(data, "sigma_hat", float, path),
+        susceptibility_hat={k: value(susceptibility, k, float, f"{path}: susceptibility_hat") for k in susceptibility},
+        train_log_likelihood=value(data, "train_log_likelihood", float, path),
     )
 
 
@@ -382,8 +366,9 @@ def resolve_likelihoods(scenario: Scenario, choice: str) -> Dict[int, float]:
 
     Choices: "oracle", "fitted:<params.json>", or "external:<map.json>"
     where the external file is either {seed: {poi_id: prob}} covering
-    several scenarios or a flat {poi_id: prob} object; each of the
-    scenario's PoIs needs a value in [0, 1].
+    several scenarios or a flat {poi_id: prob} object.  Its keys are
+    ids written as JSON writes an int key ("7", "-2"), and each of the
+    scenario's PoIs needs a number in [0, 1].
     """
     if choice == "oracle":
         return oracle_likelihoods(scenario)
@@ -391,18 +376,22 @@ def resolve_likelihoods(scenario: Scenario, choice: str) -> Dict[int, float]:
         return predict(load_fitted(choice.split(":", 1)[1]), scenario)
     if choice.startswith("external:"):
         path = choice.split(":", 1)[1]
-        data = _read_object(path)
+        data, where = read_object(path), path
         if data and all(isinstance(v, dict) for v in data.values()):
             key = str(scenario.seed)
             if key not in data:
                 raise KeyError(f"external likelihood file has no entry for seed {key}")
-            data = data[key]
-        probs = {int(k): _number(v, path) for k, v in data.items()}
-        missing = [poi.id for poi in scenario.pois if poi.id not in probs]
+            data, where = data[key], f"{path}: seed {key}"
+        bad = [k for k in data if not k.removeprefix("-").isdecimal()]
+        if bad:
+            raise ValueError(f"{where}: keys {bad} are not PoI ids")
+        probs = {k: value(data, k, float, where) for k in data}
+        likelihoods = {poi.id: probs.get(str(poi.id)) for poi in scenario.pois}
+        missing = [i for i, p in likelihoods.items() if p is None]
         if missing:
             raise KeyError(f"external likelihoods missing PoI ids {missing}")
-        outside = [poi.id for poi in scenario.pois if not 0.0 <= probs[poi.id] <= 1.0]
+        outside = [i for i, p in likelihoods.items() if not 0.0 <= p <= 1.0]
         if outside:
             raise ValueError(f"external likelihoods of PoI ids {outside} are not in [0, 1]")
-        return {poi.id: probs[poi.id] for poi in scenario.pois}
+        return likelihoods
     raise ValueError(f"unknown estimator choice {choice!r}")

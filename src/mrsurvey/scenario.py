@@ -10,6 +10,10 @@ the probability that a pocket at distance d damages a PoI is
 and the contributions of several pockets combine with noisy-OR
 (1 - prod(1 - p_i)) by default.  Everything is deterministic given the
 seed and the generative parameters.
+
+Every JSON input file of the package (a scenario, a fit, external
+likelihoods, a --config file) is read and typed by `read_object` and
+`value` at the end of this module.
 """
 
 from __future__ import annotations
@@ -220,29 +224,30 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(data: dict) -> Scenario:
+def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     """The scenario a dict from scenario_to_dict describes.
 
+    Every value is read with `value`, so a missing key or a value of
+    the wrong JSON kind raises ValueError naming `where` and the key.
     Bad generative parameters, a repeated PoI id and an inspect time
-    that is negative or not finite raise ValueError.
+    that is negative or not finite raise ValueError too.
     """
+    at = f"{where}: params"
+    p = value(data, "params", dict, where)
+    susc = value(p, "susceptibility", dict, at)
+    # A non-finite parameter or inspect time is left to the checks below,
+    # whose messages name the bound it breaks.
     params = GenerativeParams(
-        sigma=float(data["params"]["sigma"]),
-        susceptibility={k: float(v) for k, v in data["params"]["susceptibility"].items()},
-        n_wind_pockets=int(data["params"]["n_wind_pockets"]),
-        map_radius=float(data["params"]["map_radius"]),
-        combine_rule=str(data["params"]["combine_rule"]),
+        sigma=value(p, "sigma", float, at, finite=False),
+        susceptibility={k: value(susc, k, float, f"{at}: susceptibility", finite=False) for k in susc},
+        n_wind_pockets=value(p, "n_wind_pockets", int, at),
+        map_radius=value(p, "map_radius", float, at, finite=False),
+        combine_rule=value(p, "combine_rule", str, at),
     )
     pois = tuple(
-        PoI(
-            id=int(d["id"]),
-            x=float(d["x"]),
-            y=float(d["y"]),
-            poi_class=str(d["class"]),
-            inspect_time=float(d["inspect_time"]),
-            damaged=bool(d["damaged"]),
-        )
-        for d in data["pois"]
+        PoI(value(d, "id", int, at), value(d, "x", float, at), value(d, "y", float, at), value(d, "class", str, at),
+            value(d, "inspect_time", float, at, finite=False), value(d, "damaged", bool, at))
+        for d, at in _rows(data, "pois", where)
     )
     repeated = sorted(i for i, n in Counter(poi.id for poi in pois).items() if n > 1)
     if repeated:
@@ -250,14 +255,23 @@ def scenario_from_dict(data: dict) -> Scenario:
     bad = [poi.id for poi in pois if not 0.0 <= poi.inspect_time < math.inf]
     if bad:
         raise ValueError(f"inspect times of PoI ids {bad} must be finite and >= 0")
-    pockets = tuple(WindPocket(float(d["x"]), float(d["y"])) for d in data["wind_pockets"])
+    pockets = tuple(
+        WindPocket(value(d, "x", float, at), value(d, "y", float, at)) for d, at in _rows(data, "wind_pockets", where)
+    )
+    start = value(data, "start", list, where)
     return Scenario(
-        seed=int(data["seed"]),
+        seed=value(data, "seed", int, where),
         params=params,
-        start=(float(data["start"][0]), float(data["start"][1])),
+        start=(value(start, 0, float, f"{where}: start"), value(start, 1, float, f"{where}: start")),
         pois=pois,
         wind_pockets=pockets,
     )
+
+
+def _rows(data: dict, key: str, where: str) -> List[Tuple[dict, str]]:
+    """Each object in the list data[key], with the name `value` gives it."""
+    rows = value(data, key, list, where)
+    return [(value(rows, i, dict, f"{where}: {key}"), f"{where}: {key}[{i}]") for i in range(len(rows))]
 
 
 def write_scenario(scenario: Scenario, path: str) -> None:
@@ -267,8 +281,60 @@ def write_scenario(scenario: Scenario, path: str) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as f:
-        return scenario_from_dict(json.load(f))
+    return scenario_from_dict(read_object(path), path)
+
+
+# --- reading JSON inputs ---------------------------------------------------
+
+# What each kind `value` takes is called in its messages.
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+          dict: "a JSON object", list: "a JSON list"}
+
+
+def read_object(path: str, where: str | None = None) -> dict:
+    """The JSON object in the file at path: every input file (a scenario,
+    a fit, external likelihoods, a --config file) is read here.
+
+    A file that cannot be opened or parsed, or that holds anything but
+    an object, raises ValueError naming `where` (by default the path).
+    """
+    where = where or path
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {where}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} does not hold a JSON object")
+    return data
+
+
+def value(obj, key, kind: type, where: str, finite: bool = True):
+    """obj[key] from a JSON object (or list) `where` names, checked to be
+    of `kind`: int, float, str, bool, dict or list.
+
+    int takes a JSON integer; float takes a JSON integer or number and
+    returns it as a float, which must be finite unless `finite` is
+    False (a check of the caller's then rejects NaN and infinities); a
+    bool is never a number.  A missing key or a value of another kind
+    raises ValueError naming `where` and the key.
+    """
+    label = f"{where}[{key}]" if isinstance(key, int) else f"{where}: {key}"
+    try:
+        v = obj[key]
+    except (KeyError, IndexError):
+        raise ValueError(f"{label} is missing") from None
+    ok = isinstance(v, (int, float) if kind is float else kind) and isinstance(v, bool) == (kind is bool)
+    if ok and kind is float:
+        try:
+            v = float(v)
+        except OverflowError:  # an int too large for a float
+            ok = False
+        ok = ok and (not finite or math.isfinite(v))
+    if not ok:
+        shown = "" if kind in (dict, list) else f" = {obj[key]!r}"
+        raise ValueError(f"{label}{shown} is not {_KINDS[kind]}")
+    return v
 
 
 # --- graph export ----------------------------------------------------------

@@ -1,8 +1,14 @@
 """Tests for the command-line entry points."""
 
+import copy
+import functools
 import gc
 import json
+import math
+import operator
+import random
 import re
+import shutil
 import weakref
 
 import pytest
@@ -433,6 +439,80 @@ class TestBadInputs:
                                                  "--out-dir", str(out)], message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("at, key, value, message", [
+        ((), "pois", 5, "pois is not a JSON list"),
+        (("params",), "susceptibility", 5, "params: susceptibility is not a JSON object"),
+        (("pois", 2), "x", [1], "pois[2]: x = [1] is not a number"),
+        (("pois", 2), "x", math.nan, "pois[2]: x = nan is not a number"),
+        (("pois", 2), "y", 10**400, f"pois[2]: y = {10**400} is not a number"),
+        ((), "start", [math.inf, 0], "start[0] = inf is not a number"),
+        ((), "start", [0], "start[1] is missing"),
+        ((), "params", [], "params is not a JSON object"),
+        ((), "wind_pockets", None, "wind_pockets is not a JSON list"),
+        (("pois", 2), "damaged", "no", "pois[2]: damaged = 'no' is not true or false"),
+        (("params",), "n_wind_pockets", 2.7, "params: n_wind_pockets = 2.7 is not an integer"),
+        (("pois", 2), "id", 1.5, "pois[2]: id = 1.5 is not an integer"),
+        ((), "seed", ..., "seed is missing"),
+    ], ids=["pois", "susceptibility", "x_list", "x_nan", "y_beyond_float", "start_inf", "start_short", "params",
+            "wind_pockets", "damaged", "n_wind_pockets", "id", "seed_missing"])
+    def test_scenario_file_with_wrong_typed_values(self, at, key, value, message, tmp_path, capsys):
+        world = scenario_to_dict(generate_scenario(9, 5))
+        obj = functools.reduce(operator.getitem, at, world)
+        if value is ...:
+            del obj[key]
+        else:
+            obj[key] = value
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(world))
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, "simulate", ["--scenario", str(path), "--planner", "greedy",
+                                                 "--out-dir", str(out)], f"{path}: {message}")
+        assert not out.exists()
+
+    def test_scenario_file_holding_a_list(self, tmp_path, capsys):
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps([scenario_to_dict(generate_scenario(9, 5))]))
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, "simulate", ["--scenario", str(path), "--out-dir", str(out)],
+                            f"{path} does not hold a JSON object")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    @pytest.mark.parametrize("kind, content, message", [
+        ("fitted", {"sigma_hat": True, "susceptibility_hat": {"forest": 1.0, "field": 0.8, "building": 0.2},
+                    "train_log_likelihood": 0.0}, "sigma_hat = True is not a number"),
+        ("external", {"0": 0.5, "1": True, "2": 0.5}, "1 = True is not a number"),
+        ("external", {"0": 0.5, "1": 0.5, "2": 0.5, "a": 0.5}, "keys ['a'] are not PoI ids"),
+    ], ids=["fitted_bool", "external_bool", "external_key"])
+    def test_estimator_file_value_named_with_its_file(self, command, kind, content, message, tmp_path, capsys):
+        bad = tmp_path / "likelihoods.json"
+        bad.write_text(json.dumps(content))
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, command, [*_small_flags(command), "--estimator", f"{kind}:{bad}",
+                                              "--out-dir", str(out)], f"{bad}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, val", [
+        ("simulate", "depth_cap", 2.7),
+        ("generate", "seed", 2.9),
+        ("generate", "n_pois", True),
+        ("simulate", "n_pois", True),
+    ])
+    def test_config_value_of_the_wrong_kind(self, command, key, val, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL[command], key: val}))
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, command, ["--config", str(cfg), "--out-dir", str(out)],
+                            f"--config {cfg}: invalid {key} value: {val!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "fit"])
+    def test_negative_seed(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, command, [*_small_flags(command), "--seed", "-1", "--out-dir", str(out)],
+                            "seed must be >= 0, got -1")
+        assert not out.exists()
+
     def test_external_file_missing_a_later_seed_is_a_fault_of_the_run(self, tmp_path):
         # The first world's likelihoods are checked up front; a seed the
         # file lacks for a later world fails once the run is under way.
@@ -450,3 +530,87 @@ class TestBadInputs:
         monkeypatch.setattr(cli, "run_mission", fault)
         with pytest.raises(ValueError, match="fault inside the mission"):
             cli.main(["simulate", *_small_flags("simulate"), "--out-dir", str(tmp_path / "out")])
+
+
+def _paths(doc, at=()):
+    """The path of every value inside doc (a JSON object or list)."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield at + (key,)
+        yield from _paths(val, at + (key,))
+
+
+# Replacements of another JSON kind than the value they replace.
+_OTHER_KINDS = ["x", True, None, 1.5, 7, [1], {"k": 1}, [], {}]
+
+
+def _mutant(doc, rng):
+    """doc with one value changed by one of the mutations a hand-edited
+    input file may hold, or a top-level value that is not an object."""
+    doc = copy.deepcopy(doc)
+    mutation = rng.choice(["kind", "nan", "inf", "-inf", "negative", "missing", "empty", "top"])
+    if mutation == "top":
+        return rng.choice([[doc], 5, "doc", None, []])
+    path = rng.choice(list(_paths(doc)))
+    obj = functools.reduce(operator.getitem, path[:-1], doc)
+    old = obj[path[-1]]
+    if mutation == "missing":
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = {
+            "kind": lambda: rng.choice([v for v in _OTHER_KINDS if type(v) is not type(old)]),
+            "nan": lambda: math.nan,
+            "inf": lambda: math.inf,
+            "-inf": lambda: -math.inf,
+            "negative": lambda: -abs(old) - 1 if type(old) in (int, float) else -1,
+            "empty": lambda: rng.choice([[], {}]),
+        }[mutation]()
+    return doc
+
+
+class TestMutatedInputs:
+    """A property of every input file: with one value changed to another
+    kind, NaN, an infinity, a negative number, a missing key or an empty
+    container, or with a top level that is not an object, a command
+    either runs (exit 0) or stops with a usage error before it writes
+    anything (exit 2); it never ends in a traceback."""
+
+    def _files(self):
+        fitted = {"sigma_hat": 60.0, "susceptibility_hat": {"forest": 1.0, "field": 0.8, "building": 0.2},
+                  "train_log_likelihood": -12.5}
+        small = ["--n-pois", "3", "--planner", "greedy"]
+        # (file contents, command with the file's path as {})
+        return [
+            (scenario_to_dict(generate_scenario(9, 4)), ["simulate", "--planner", "greedy", "--scenario", "{}"]),
+            (fitted, ["simulate", *small, "--estimator", "fitted:{}"]),
+            ({"0": 0.5, "1": 0.25, "2": 1.0}, ["simulate", *small, "--estimator", "external:{}"]),
+            ({"0": {"0": 0.5, "1": 0.25, "2": 1.0}, "1": {"0": 0.0}}, ["simulate", *small, "--estimator", "external:{}"]),
+            ({"n_pois": 3, "n_robots": 1, "planner": "greedy", "seed": 4, "speed": 2.0, "depth_cap": 2,
+              "n_priority": 4, "estimator": "oracle"}, ["simulate", "--config", "{}"]),
+        ]
+
+    def test_no_mutant_ends_in_a_traceback(self, tmp_path, capsys):
+        rng = random.Random(20)
+        path, out = tmp_path / "input.json", tmp_path / "out"
+        files = self._files()
+        exits = {0: 0, 2: 0}
+        for case in range(500):
+            doc, command = files[case % len(files)]
+            mutant = _mutant(doc, rng)
+            path.write_text(json.dumps(mutant))
+            argv = [a.replace("{}", str(path)) for a in command] + ["--out-dir", str(out)]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                pytest.fail(f"{' '.join(argv)} on {json.dumps(mutant)} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in exits, (argv, mutant, err)
+            if code == 2:
+                assert err.startswith(f"usage: mrsurvey {command[0]} "), (mutant, err)
+                assert not out.exists(), mutant
+            shutil.rmtree(out, ignore_errors=True)
+            exits[code] += 1
+        # Both outcomes occur, so the cases reach past the first check.
+        assert min(exits.values()) >= 25, exits
