@@ -13,7 +13,7 @@ import math
 
 import mrsurvey as m
 
-cfg = m.PlannerConfig(depth_cap=6, n_priority=12, n_top_prob=6)
+cfg = m.PlannerConfig(depth_cap=6, n_priority=12)
 
 # Two PoIs, one robot.  Going to the likely PoI first costs
 # 0.9*10 + 0.1*(10 + distance A to B) = 11.2 here, and no other order

@@ -142,12 +142,7 @@ def _effective(args: argparse.Namespace) -> Dict:
 
 
 def _planner_config(eff: Dict) -> PlannerConfig:
-    return dataclasses.replace(
-        _PLANNER,
-        depth_cap=eff["depth_cap"],
-        n_priority=eff["n_priority"],
-        n_top_prob=min(_PLANNER.n_top_prob, eff["n_priority"]),
-    )
+    return dataclasses.replace(_PLANNER, depth_cap=eff["depth_cap"], n_priority=eff["n_priority"])
 
 
 def _experiment_spec(eff: Dict) -> ExperimentSpec:

@@ -174,16 +174,18 @@ class ActionOutcome:
 class PlannerConfig:
     depth_cap: int = 4
     n_priority: int = 12
-    n_top_prob: int = 6
     prune: bool = True
 
     def __post_init__(self) -> None:
         if self.depth_cap < 1:
             raise ValueError("depth_cap must be >= 1")
-        if self.n_top_prob > self.n_priority:
-            raise ValueError("n_top_prob cannot exceed n_priority")
         if self.n_priority < 1:
             raise ValueError("n_priority must be >= 1")
+
+    @property
+    def n_top_prob(self) -> int:
+        """How many of the priority subset's PoIs are the likeliest ones."""
+        return min(6, self.n_priority)
 
 
 @dataclass
@@ -522,11 +524,12 @@ class _Search:
     lowest-index free robot picks an unclaimed PoI, or any remaining one
     once all are claimed) and reveal events (`advance`: earliest
     completion wins, ties by PoI id then robot index).  Ties on cost
-    resolve to the lexicographically smallest root target tuple, which
-    is the joint-action enumeration order.  Every robot commits afresh at
-    the root, keeping the state's inspection progress only where it
-    picks its committed PoI again; below the root, commitments persist
-    with their progress until their PoI is revealed.
+    resolve, at the leaves, to the lexicographically smallest root
+    target tuple, which is the joint-action enumeration order.  Every
+    robot commits afresh at the root, keeping the state's inspection
+    progress only where it picks its committed PoI again; below the
+    root, commitments persist with their progress until their PoI is
+    revealed.
 
     Pruning uses one admissible completion bound, the chain bound
     (`chain_bound`): each remaining PoI is charged its earliest possible
@@ -538,8 +541,10 @@ class _Search:
     subset has at least depth_cap + n_robots PoIs.  Then every node
     above the cap has more PoIs than robots, so targets stay singly
     claimed, which the commitment-aware form needs.  Each segment's bound
-    is computed once, in `make_seg`; the position-only layers under it
-    reuse it, and commitment-aware layers price each choice in `price`.
+    is computed once, in `make_seg`, and `advance` cuts the segment when
+    `beaten` says it cannot beat the incumbent.  Commitment-aware layers
+    also cut choices on the bound `price` gives each; position-only
+    layers cut nothing, as all their choices share the segment's bound.
     The state lives in plain python lists because segments are tiny and
     interpreter arithmetic beats array dispatch here: a layout is the
     tuple `_layout` returns, and a segment is (layout, travel rows,
@@ -629,20 +634,6 @@ class _Search:
         best = self.best_cost
         return b > best + 1e-9 * (abs(best) + 1.0)
 
-    def only_ties(self, b: float, acc: float, cand: Tuple[int, ...]) -> bool:
-        """Whether a subtree with bound b, whose root targets start with
-        cand, can only tie the incumbent without preceding it.
-
-        That holds when its completion bound is exactly zero (b == acc)
-        and meets the incumbent's cost, and cand cannot start a root
-        tuple below best_tuple: it is above best_tuple's head, or equal
-        to a full-length one.
-        """
-        if b != self.best_cost or b != acc:
-            return False
-        head = self.best_tuple[:len(cand)]
-        return cand > head or (cand == head and len(cand) == self.n_rob)
-
     def price(self, seg: tuple, arr: List[List[float]], j: int, choices: List[int], tj: int, rj: float,
               acc: float) -> List[float]:
         """Each choice's commitment-aware chain bound when free robot j
@@ -681,10 +672,10 @@ class _Search:
             return
         j = targ.index(-1)
         self.nodes_expanded += 1
-        lay, trow, _, _, seg_bound = seg
+        lay, trow = seg[:2]
         pids, insp, dpp = lay[0], lay[3], lay[5]
         spd = self.spd
-        aware, do_prune = self.aware, self.do_prune
+        aware = self.aware
 
         # Only at the root can a free robot hold progress; a robot freed
         # by a reveal starts its next inspection from zero.
@@ -727,26 +718,22 @@ class _Search:
             bnds = self.price(seg, arr, j, choices, tj, rj, accrued)
             seq = sorted(range(len(choices)), key=bnds.__getitem__)
         else:
-            # Position-only: every choice shares the segment's bound.
+            # Position-only: every choice shares the segment's bound, which
+            # holds for any completion and which `advance` (or the empty
+            # incumbent at the root) already let through, so none is cut.
             seq = range(len(choices))
         rowj = trow[j]
         for oi, k in enumerate(seq):
+            if aware and self.beaten(bnds[k]):
+                self.children_pruned += len(choices) - oi
+                break
             c = choices[k]
-            nxt = prefix + (pids[c],) if rooting else prefix
-            if do_prune:
-                b = bnds[k] if aware else seg_bound
-                if self.beaten(b):
-                    self.children_pruned += len(choices) - oi
-                    break
-                if self.only_ties(b, accrued, nxt):
-                    self.children_pruned += 1
-                    continue
             need = rj if c == tj else insp[c]
             targ[j] = c
             rem[j] = need
             if aware:
                 arr[j] = _commit_row(rowj, c, need, dpp[c], vj)
-            self.assign(seg, targ, rem, prx, pry, arr, accrued, reveals, nxt)
+            self.assign(seg, targ, rem, prx, pry, arr, accrued, reveals, prefix + (pids[c],) if rooting else prefix)
             arr[j] = rowj  # free robots carry their direct travel row
             targ[j] = -1
 
@@ -799,7 +786,7 @@ class _Search:
         seg2 = self.make_seg(lay2, _least_need(insp2, targ2, rem2), trow2, arr2, acc2)
         if self.node_log is not None:
             self.log_node(seg2, nprx, npry, targ2, rem2, acc2)
-        if self.do_prune and (self.beaten(seg2[4]) or self.only_ties(seg2[4], acc2, prefix)):
+        if self.do_prune and self.beaten(seg2[4]):
             self.children_pruned += 1
             return
         self.assign(seg2, targ2, rem2, nprx, npry, arr2, acc2, reveals + 1, prefix)
@@ -857,8 +844,8 @@ def plan_detailed(
     of the cheapest sequence (ties go to the lexicographically smallest
     target tuple).  nodes_expanded counts the commitment and reveal
     nodes the search entered, and children_pruned the children it cut
-    on their bound or the tie rule: choices at a commitment layer and
-    child segments at a reveal.  When node_log is given, the search
+    on their bound: choices at a commitment-aware layer and child
+    segments at a reveal.  When node_log is given, the search
     appends a NodeRecord for the root and for every state a reveal
     reaches before the depth cap, the root first.
 

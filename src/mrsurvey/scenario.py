@@ -229,17 +229,21 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
 
     Every value is read with `value`, so a missing key or a value of
     the wrong JSON kind raises ValueError naming `where` and the key.
-    Bad generative parameters, a repeated PoI id and an inspect time
-    that is negative or not finite raise ValueError too.
+    Bad generative parameters, a susceptibility missing for a PoI class,
+    a PoI class outside POI_CLASSES, a repeated PoI id, an inspect time
+    that is negative or not finite, and an n_wind_pockets other than the
+    number of wind_pockets raise ValueError too.
     """
     at = f"{where}: params"
     p = value(data, "params", dict, where)
     susc = value(p, "susceptibility", dict, at)
     # A non-finite parameter or inspect time is left to the checks below,
-    # whose messages name the bound it breaks.
+    # whose messages name the bound it breaks.  Every PoI class is read,
+    # so a class the object lacks is reported missing.
     params = GenerativeParams(
         sigma=value(p, "sigma", float, at, finite=False),
-        susceptibility={k: value(susc, k, float, f"{at}: susceptibility", finite=False) for k in susc},
+        susceptibility={k: value(susc, k, float, f"{at}: susceptibility", finite=False)
+                        for k in dict.fromkeys((*POI_CLASSES, *susc))},
         n_wind_pockets=value(p, "n_wind_pockets", int, at),
         map_radius=value(p, "map_radius", float, at, finite=False),
         combine_rule=value(p, "combine_rule", str, at),
@@ -249,6 +253,9 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
             value(d, "inspect_time", float, at, finite=False), value(d, "damaged", bool, at))
         for d, at in _rows(data, "pois", where)
     )
+    for i, poi in enumerate(pois):
+        if poi.poi_class not in POI_CLASSES:
+            raise ValueError(f"{where}: pois[{i}]: class = {poi.poi_class!r} is not one of {', '.join(POI_CLASSES)}")
     repeated = sorted(i for i, n in Counter(poi.id for poi in pois).items() if n > 1)
     if repeated:
         raise ValueError(f"duplicate PoI ids {repeated}")
@@ -258,6 +265,9 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     pockets = tuple(
         WindPocket(value(d, "x", float, at), value(d, "y", float, at)) for d, at in _rows(data, "wind_pockets", where)
     )
+    if len(pockets) != params.n_wind_pockets:
+        raise ValueError(f"{where}: params: n_wind_pockets = {params.n_wind_pockets}, "
+                         f"but wind_pockets holds {len(pockets)}")
     start = value(data, "start", list, where)
     return Scenario(
         seed=value(data, "seed", int, where),

@@ -18,12 +18,13 @@ from mrsurvey.simulator import MissionConfig, replay_check, run_mission
 
 import reference
 
-# Minutes of experiment grids: `pytest -m "not slow"` leaves them out.
-pytestmark = pytest.mark.slow
-
 SEED_INSTANCES = 723401
 N_INSTANCES = 200
 PLANNERS = ("model", "optimistic", "greedy")
+
+# Criteria 6-9 run experiment grids for minutes: `pytest -m "not slow"`
+# leaves them out.  The others take seconds and run in the unit loop.
+SLOW = pytest.mark.slow
 
 
 def _finish(capsys, criterion, ok, detail):
@@ -54,7 +55,7 @@ def small_instances():
 @pytest.fixture(scope="session")
 def engine_runs(small_instances):
     """Exact planner results plus per-node search logs, with wall time."""
-    cfg = m.PlannerConfig(depth_cap=6, n_priority=12, n_top_prob=6)
+    cfg = m.PlannerConfig(depth_cap=6, n_priority=12)
     results, logs = [], []
     t0 = time.perf_counter()
     for pois, robots in small_instances:
@@ -155,7 +156,7 @@ def test_criterion_03_two_poi_instance_is_analytic(capsys):
         [(0, 10.0, 0.0, 0.0, 0.9), (1, -0.95, by, 0.0, 0.1)],
         [m.RobotState(0, 0.0, 0.0, 1.0)],
     )
-    cfg = m.PlannerConfig(depth_cap=6, n_priority=12, n_top_prob=6)
+    cfg = m.PlannerConfig(depth_cap=6, n_priority=12)
     res = m.plan_detailed(state, cfg)
     cost, action = res.cost, res.action
     err = abs(cost - 11.2)
@@ -194,6 +195,7 @@ def test_criterion_05_estimator_recovers_generator(capsys):
             + f" (tol 0.1), fit on 5000 scenarios in {wall:.1f}s < 300s")
 
 
+@SLOW
 def test_criterion_06_model_beats_both_baselines_at_12_pois(capsys, report12):
     report, wall = report12
     parts = []
@@ -210,6 +212,7 @@ def test_criterion_06_model_beats_both_baselines_at_12_pois(capsys, report12):
             "; ".join(parts) + f"; bar >= 10%, 100 paired trials, {wall:.0f}s < 1800s")
 
 
+@SLOW
 def test_criterion_07_cost_decreases_with_team_size(capsys, report12):
     report, _ = report12
     means = [report.cells[("model", 12, r)].mean for r in (1, 3, 5)]
@@ -219,6 +222,7 @@ def test_criterion_07_cost_decreases_with_team_size(capsys, report12):
             f"> {means[2]:.1f} (5)")
 
 
+@SLOW
 def test_criterion_08_scale_up_and_planning_latency(capsys, report36, latency36):
     report, wall = report36
     means = {p: report.cells[(p, 36, 3)].mean for p in PLANNERS}
@@ -234,6 +238,7 @@ def test_criterion_08_scale_up_and_planning_latency(capsys, report36, latency36)
             f"{worst_median:.2f}s worst of {len(medians)} missions (bar 10s)")
 
 
+@SLOW
 def test_criterion_09_every_trace_replays_cleanly(capsys, report12, report36,
                                                   latency36):
     rep12, _ = report12

@@ -453,8 +453,13 @@ class TestBadInputs:
         (("params",), "n_wind_pockets", 2.7, "params: n_wind_pockets = 2.7 is not an integer"),
         (("pois", 2), "id", 1.5, "pois[2]: id = 1.5 is not an integer"),
         ((), "seed", ..., "seed is missing"),
+        (("params",), "n_wind_pockets", 3, "params: n_wind_pockets = 3, but wind_pockets holds 2"),
+        ((), "wind_pockets", [], "params: n_wind_pockets = 2, but wind_pockets holds 0"),
+        (("params",), "susceptibility", {}, "params: susceptibility: forest is missing"),
+        (("pois", 2), "class", "house", "pois[2]: class = 'house' is not one of forest, field, building"),
     ], ids=["pois", "susceptibility", "x_list", "x_nan", "y_beyond_float", "start_inf", "start_short", "params",
-            "wind_pockets", "damaged", "n_wind_pockets", "id", "seed_missing"])
+            "wind_pockets", "damaged", "n_wind_pockets", "id", "seed_missing", "pocket_count", "pockets_emptied",
+            "susceptibility_empty", "unknown_class"])
     def test_scenario_file_with_wrong_typed_values(self, at, key, value, message, tmp_path, capsys):
         world = scenario_to_dict(generate_scenario(9, 5))
         obj = functools.reduce(operator.getitem, at, world)
@@ -467,6 +472,24 @@ class TestBadInputs:
         out = tmp_path / "out"
         _assert_usage_error(capsys, "simulate", ["--scenario", str(path), "--planner", "greedy",
                                                  "--out-dir", str(out)], f"{path}: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("at, key, value, message", [
+        (("params",), "susceptibility", {}, "params: susceptibility: forest is missing"),
+        (("pois", 2), "class", "house", "pois[2]: class = 'house' is not one of forest, field, building"),
+    ], ids=["susceptibility_empty", "unknown_class"])
+    def test_scenario_file_checked_under_external_likelihoods(self, at, key, value, message, tmp_path, capsys):
+        # External likelihoods never read a PoI's class or susceptibility,
+        # so the scenario file's own check is the one that stops it.
+        world = scenario_to_dict(generate_scenario(9, 5))
+        functools.reduce(operator.getitem, at, world)[key] = value
+        path, likelihoods = tmp_path / "world.json", tmp_path / "likelihoods.json"
+        path.write_text(json.dumps(world))
+        likelihoods.write_text(json.dumps({str(pid): 0.5 for pid in range(5)}))
+        out = tmp_path / "out"
+        _assert_usage_error(capsys, "simulate", ["--scenario", str(path), "--planner", "greedy",
+                                                 "--estimator", f"external:{likelihoods}", "--out-dir", str(out)],
+                            f"{path}: {message}")
         assert not out.exists()
 
     def test_scenario_file_holding_a_list(self, tmp_path, capsys):

@@ -23,7 +23,7 @@ def _tiny_spec(**overrides):
         n_robots=(1,),
         seed_base=300,
         planners=("model", "optimistic", "greedy"),
-        planner_config=m.PlannerConfig(depth_cap=3, n_priority=12, n_top_prob=6),
+        planner_config=m.PlannerConfig(depth_cap=3, n_priority=12),
     )
     base.update(overrides)
     return ExperimentSpec(**base)

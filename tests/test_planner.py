@@ -15,7 +15,7 @@ from mrsurvey.planner import NodeRecord, _claim_nearest, _commit_row, _scalars, 
 import reference
 
 
-CFG6 = m.PlannerConfig(depth_cap=6, n_priority=12, n_top_prob=6)
+CFG6 = m.PlannerConfig(depth_cap=6, n_priority=12)
 
 
 def _state_from(pois, robots, progress=None):
@@ -387,7 +387,7 @@ class TestExpectedCost:
                 continue
             cap = rng.randint(1, len(pois) - 1)
             st = _state_from(pois, robots)
-            cfg = m.PlannerConfig(depth_cap=cap, n_priority=12, n_top_prob=6)
+            cfg = m.PlannerConfig(depth_cap=cap, n_priority=12)
             cost, action = _full_search(st, cfg)
             want_cost, want_first = reference.route_space_optimum(pois, robots, cap=cap)
             assert abs(cost - want_cost) <= 1e-9
@@ -403,7 +403,7 @@ class TestExpectedCost:
             robots, progress = _with_progress(rng, pois, robots)
             cap = rng.randint(1, len(pois)) if trial % 2 else None
             st = _state_from(pois, robots, progress)
-            cfg = m.PlannerConfig(depth_cap=cap or 6, n_priority=12, n_top_prob=6)
+            cfg = m.PlannerConfig(depth_cap=cap or 6, n_priority=12)
             cost, action = _full_search(st, cfg)
             want_cost, want_first = reference.route_space_optimum(
                 pois, robots, cap=cap, progress=progress)
@@ -584,7 +584,7 @@ class TestPrioritySubset:
                 for i in range(6)]
         pois += [(6 + j, 10.0 * (j + 1), 0.0, 0.0, 0.1) for j in range(8)]
         st = _state_from(pois, [[0, 0, 1]])
-        subset = m.select_priority_subset(st, m.PlannerConfig(n_priority=12, n_top_prob=6))
+        subset = m.select_priority_subset(st, m.PlannerConfig(n_priority=12))
         assert subset == tuple(range(12))
 
     def test_overlap_refills_from_remaining(self):
@@ -593,12 +593,12 @@ class TestPrioritySubset:
         pois = [(i, 10.0 * (i + 1), 0.0, 0.0, 0.9) for i in range(6)]
         pois += [(6 + j, 200.0 + 10.0 * j, 0.0, 0.0, 0.1) for j in range(8)]
         st = _state_from(pois, [[0, 0, 1]])
-        subset = m.select_priority_subset(st, m.PlannerConfig(n_priority=12, n_top_prob=6))
+        subset = m.select_priority_subset(st, m.PlannerConfig(n_priority=12))
         assert subset == tuple(range(12))
 
     def test_matches_independent_rule_on_random_instances(self):
         rng = random.Random(6060)
-        cfg = m.PlannerConfig(n_priority=8, n_top_prob=4)
+        cfg = m.PlannerConfig(n_priority=8)
         for _ in range(20):
             n = rng.randint(9, 16)
             pois = [(pid, rng.uniform(-200, 200), rng.uniform(-200, 200),
@@ -748,7 +748,7 @@ class TestPlanAndPruning:
 
     def test_plan_restricts_to_priority_subset(self):
         rng = random.Random(404)
-        cfg = m.PlannerConfig(depth_cap=4, n_priority=8, n_top_prob=4)
+        cfg = m.PlannerConfig(depth_cap=4, n_priority=8)
         for _ in range(5):
             pois = [(pid, rng.uniform(-150, 150), rng.uniform(-150, 150), 30.0, rng.random())
                     for pid in range(15)]
@@ -768,7 +768,7 @@ class TestPlanAndPruning:
         # bound at depth cap 4 and the position-only one at 6, although
         # the full state has enough PoIs for the commitment-aware one.
         rng = random.Random(405)
-        configs = [m.PlannerConfig(depth_cap=cap, n_priority=8, n_top_prob=6) for cap in (4, 6)]
+        configs = [m.PlannerConfig(depth_cap=cap, n_priority=8) for cap in (4, 6)]
         both = 0
         for _ in range(10):
             pois = [(pid, rng.uniform(-150, 150), rng.uniform(-150, 150), 30.0, rng.random())
@@ -952,25 +952,10 @@ class TestSearchPieces:
         assert search.chain_bound(0.0, aware, [0.5, 0.25], 0.0) == 0.5 * 4.5 + 0.25 * 12.0 == 5.25
         assert search.chain_bound(3.0, [], [0.5], 0.0) == math.inf
 
-    def test_tie_rule_cuts_only_subtrees_that_cannot_precede(self):
-        st = _state_from([(pid, float(pid), 0.0, 0.0, 0.5) for pid in range(9)], [[0, 0, 1]] * 3)
-        search = _Search(st, st.poi_ids, m.PlannerConfig(), None)
-        search.best_cost, search.best_tuple = 5.0, (2, 4, 7)
-        # Only an exactly-zero completion bound that meets the incumbent.
-        assert not search.only_ties(5.0, 4.0, (3,))
-        assert not search.only_ties(6.0, 6.0, (3,))
-        cut = {cand: search.only_ties(5.0, 5.0, cand) for cand in [
-            (1,), (2,), (3,), (2, 3), (2, 4), (2, 5), (2, 4, 6), (2, 4, 7), (2, 4, 8), (3, 0, 0)]}
-        assert [cand for cand, c in cut.items() if c] == [(3,), (2, 5), (2, 4, 7), (2, 4, 8), (3, 0, 0)]
-        # A full-length prefix is cut exactly when it is not below the incumbent.
-        for cand in [(2, 4, 6), (2, 4, 7), (2, 4, 8), (1, 9, 9), (3, 0, 0)]:
-            assert search.only_ties(5.0, 5.0, cand) == (cand >= search.best_tuple)
-
 
 BAD_PLANNER_CONFIGS = [
     ({"depth_cap": 0}, "depth_cap must be >= 1"),
-    ({"n_priority": 4, "n_top_prob": 6}, "n_top_prob cannot exceed n_priority"),
-    ({"n_priority": 0, "n_top_prob": 0}, "n_priority must be >= 1"),
+    ({"n_priority": 0}, "n_priority must be >= 1"),
 ]
 
 
@@ -983,3 +968,21 @@ class TestPlannerConfig:
             with pytest.raises(ValueError, match=message):
                 dataclasses.replace(m.PlannerConfig(), **edit)
         m.PlannerConfig()
+
+    def test_top_likelihood_share_follows_n_priority(self):
+        # The subset's likeliest-PoI share is min(6, n_priority) and
+        # cannot be set, so any n_priority >= 1 is accepted.
+        assert [f.name for f in dataclasses.fields(m.PlannerConfig)] == ["depth_cap", "n_priority", "prune"]
+        assert m.PlannerConfig().n_top_prob == 6
+        cfg = m.PlannerConfig(n_priority=4)
+        assert cfg.n_top_prob == 4
+        # The likeliest PoIs lie farthest from the robot, so nearest fill
+        # would have picked others.
+        pois = [(pid, 10.0 * (pid + 1), 0.0, 0.0, 0.1 * (pid + 1)) for pid in range(9)]
+        assert m.select_priority_subset(_state_from(pois, [[0, 0, 1]]), cfg) == (5, 6, 7, 8)
+        with pytest.raises(TypeError):
+            m.PlannerConfig(**{"n_top_prob": 3})
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, **{"n_top_prob": 3})
+        with pytest.raises(AttributeError):
+            cfg.n_top_prob = 3

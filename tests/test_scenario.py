@@ -194,12 +194,27 @@ class TestSerialization:
         ("id", 1, "duplicate PoI ids [1]"),
         ("inspect_time", -5.0, "inspect times of PoI ids [2] must be finite and >= 0"),
         ("inspect_time", math.inf, "inspect times of PoI ids [2] must be finite and >= 0"),
-    ], ids=["repeated_id", "negative_inspect_time", "infinite_inspect_time"])
+        ("class", "house", "scenario: pois[2]: class = 'house' is not one of forest, field, building"),
+    ], ids=["repeated_id", "negative_inspect_time", "infinite_inspect_time", "unknown_class"])
     def test_load_rejects_pois_a_mission_cannot_use(self, key, value, message):
         world = scenario_to_dict(generate_scenario(23, 5))
         world["pois"][2][key] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             scenario_from_dict(world)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda w: w["params"].update(n_wind_pockets=3), "params: n_wind_pockets = 3, but wind_pockets holds 2"),
+        (lambda w: w.update(wind_pockets=[]), "params: n_wind_pockets = 2, but wind_pockets holds 0"),
+        (lambda w: w["params"].update(susceptibility={}), "params: susceptibility: forest is missing"),
+        (lambda w: w["params"]["susceptibility"].pop("building"), "params: susceptibility: building is missing"),
+    ], ids=["more_pockets_counted", "pockets_emptied", "susceptibility_empty", "susceptibility_short"])
+    def test_load_rejects_a_world_at_odds_with_itself(self, edit, message, tmp_path):
+        world = scenario_to_dict(generate_scenario(23, 5))
+        edit(world)
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(world))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_scenario(str(path))
 
     def test_dict_round_trip_stable(self):
         scen = generate_scenario(19, 8)

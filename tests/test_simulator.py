@@ -157,7 +157,7 @@ class TestInspectionProgress:
 
 # A shallow search keeps the model planner quick at 36 PoIs and 5 robots;
 # how the state is carried does not depend on the search depth.
-QUICK_MODEL = m.PlannerConfig(depth_cap=1, n_priority=6, n_top_prob=3)
+QUICK_MODEL = m.PlannerConfig(depth_cap=1, n_priority=6)
 
 
 def _carried_and_rebuilt(monkeypatch, scen, cfg, likelihoods=None):
