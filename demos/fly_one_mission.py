@@ -2,9 +2,9 @@
 
 The simulator drives the team with receding-horizon replanning: after
 every completed inspection the planner is called again on the surviving
-PoIs.  The trace records every event, the reveal log, a cost curve, and
-planner wall times, and an independent replay pass re-checks the whole
-mission against robot kinematics.
+PoIs.  The trace records the reveal log, the robot that made each
+reveal, a cost curve, and planner wall times, and an independent replay
+pass re-checks the whole mission against robot kinematics.
 """
 
 import tempfile
@@ -40,7 +40,8 @@ assert trace.cost_curve[-1].n_damaged_unreported == 0
 replay = m.replay_check(trace, scenario)
 print(f"\nreplay check ok={replay.ok}")
 
-# Traces serialize to JSON lines, one event per line plus a summary.
+# Traces serialize to JSON lines, one event per reveal, a mission_end
+# event and a summary.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "trace.jsonl"
     m.write_trace(trace, path)

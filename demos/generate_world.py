@@ -43,8 +43,8 @@ for d in (0.0, 30.0, 60.0, 120.0, 240.0):
 # The proximity graph connects nodes within 400 m, weighted 1 - d/400,
 # with one-hot class features per node.
 graph = m.build_graph(scenario)
-n_cross = sum(1 for e in graph.edges if e.src != e.dst)
-print(f"\nproximity graph: {len(graph.nodes)} nodes, "
+n_cross = sum(1 for e in graph["edges"] if e["src"] != e["dst"])
+print(f"\nproximity graph: {len(graph['nodes'])} nodes, "
       f"{n_cross} cross edges within cutoff")
 
 with tempfile.TemporaryDirectory() as tmp:

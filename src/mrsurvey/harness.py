@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from .estimator import resolve_likelihoods
 from .planner import PlannerConfig
 from .scenario import generate_scenario
-from .simulator import PLANNER_NAMES, MissionConfig, replay_check, run_mission
+from .simulator import PLANNER_NAMES, CurvePoint, MissionConfig, replay_check, run_mission
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class MissionOutcome:
     total_time: float
     total_distance: float
     planning_wall_median: float
-    curve: Tuple[Tuple[float, float, float, float, int], ...]
+    curve: Tuple[CurvePoint, ...]
     replay_reasons: Tuple[str, ...]
 
 
@@ -106,17 +106,13 @@ def _run_trial(
                 seed=seed,
             )
             trace = run_mission(scenario, config, likelihoods=likelihoods)
-            curve = tuple(
-                (c.time, c.distance_traveled, c.expected_cost_accrued, c.realized_cost_accrued, c.n_damaged_unreported)
-                for c in trace.cost_curve
-            )
             outcome = MissionOutcome(
                 seed=seed,
                 cost=trace.total_realized_cost,
                 total_time=trace.total_time,
                 total_distance=trace.total_distance,
                 planning_wall_median=trace.planning_calls.median_wall,
-                curve=curve,
+                curve=trace.cost_curve,
                 replay_reasons=tuple(replay_check(trace, scenario).reasons),
             )
             pairs.append(((planner, n_pois, n_robots), outcome))

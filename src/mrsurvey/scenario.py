@@ -258,10 +258,10 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
             raise ValueError(f"{where}: pois[{i}]: class = {poi.poi_class!r} is not one of {', '.join(POI_CLASSES)}")
     repeated = sorted(i for i, n in Counter(poi.id for poi in pois).items() if n > 1)
     if repeated:
-        raise ValueError(f"duplicate PoI ids {repeated}")
+        raise ValueError(f"{where}: pois: duplicate PoI ids {repeated}")
     bad = [poi.id for poi in pois if not 0.0 <= poi.inspect_time < math.inf]
     if bad:
-        raise ValueError(f"inspect times of PoI ids {bad} must be finite and >= 0")
+        raise ValueError(f"{where}: pois: inspect times of PoI ids {bad} must be finite and >= 0")
     pockets = tuple(
         WindPocket(value(d, "x", float, at), value(d, "y", float, at)) for d, at in _rows(data, "wind_pockets", where)
     )
@@ -350,53 +350,33 @@ def value(obj, key, kind: type, where: str, finite: bool = True):
 # --- graph export ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    id: int
-    onehot: Tuple[float, float, float, float]
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    src: int
-    dst: int
-    w: float
-
-
-@dataclass(frozen=True)
-class ScenarioGraph:
-    nodes: Tuple[GraphNode, ...]
-    edges: Tuple[GraphEdge, ...]
-
-
-def _onehot(slot: str) -> Tuple[float, float, float, float]:
+def _onehot(slot: str) -> List[float]:
     vec = [0.0, 0.0, 0.0, 0.0]
     vec[ONEHOT_ORDER.index(slot)] = 1.0
-    return tuple(vec)
+    return vec
 
 
-def build_graph(scenario: Scenario) -> ScenarioGraph:
-    """Export the scenario as a graph of PoIs and wind pockets.
+def build_graph(scenario: Scenario) -> dict:
+    """Export the scenario as a graph of PoIs and wind pockets, the JSON
+    object {"nodes": [{id, onehot}], "edges": [{src, dst, w}]}.
 
     Nodes carry a one-hot class over (field, forest, cabin,
     wind_gust_pocket).  Every node gets a self-edge of weight 1; pairs at
     distance d <= GRAPH_EDGE_CUTOFF get two directed edges of weight
     1 - d / GRAPH_EDGE_CUTOFF.
     """
-    nodes: List[GraphNode] = []
+    nodes: List[dict] = []
     positions: List[Tuple[float, float]] = []
     for poi in scenario.pois:
         slot = "cabin" if poi.poi_class == "building" else poi.poi_class
-        nodes.append(GraphNode(poi.id, _onehot(slot)))
+        nodes.append({"id": poi.id, "onehot": _onehot(slot)})
         positions.append(poi.position)
     next_id = max((poi.id for poi in scenario.pois), default=-1) + 1
     for k, pk in enumerate(scenario.wind_pockets):
-        nodes.append(GraphNode(next_id + k, _onehot("wind_gust_pocket")))
+        nodes.append({"id": next_id + k, "onehot": _onehot("wind_gust_pocket")})
         positions.append(pk.position)
 
-    edges: List[GraphEdge] = []
-    for i, node in enumerate(nodes):
-        edges.append(GraphEdge(node.id, node.id, 1.0))
+    edges = [{"src": node["id"], "dst": node["id"], "w": 1.0} for node in nodes]
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             dx = positions[i][0] - positions[j][0]
@@ -404,19 +384,12 @@ def build_graph(scenario: Scenario) -> ScenarioGraph:
             d = math.sqrt(dx * dx + dy * dy)
             if d <= GRAPH_EDGE_CUTOFF:
                 w = 1.0 - d / GRAPH_EDGE_CUTOFF
-                edges.append(GraphEdge(nodes[i].id, nodes[j].id, w))
-                edges.append(GraphEdge(nodes[j].id, nodes[i].id, w))
-    return ScenarioGraph(nodes=tuple(nodes), edges=tuple(edges))
+                edges.append({"src": nodes[i]["id"], "dst": nodes[j]["id"], "w": w})
+                edges.append({"src": nodes[j]["id"], "dst": nodes[i]["id"], "w": w})
+    return {"nodes": nodes, "edges": edges}
 
 
-def graph_to_dict(graph: ScenarioGraph) -> dict:
-    return {
-        "nodes": [{"id": n.id, "onehot": list(n.onehot)} for n in graph.nodes],
-        "edges": [{"src": e.src, "dst": e.dst, "w": e.w} for e in graph.edges],
-    }
-
-
-def write_graph(graph: ScenarioGraph, path: str) -> None:
+def write_graph(graph: dict, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(graph_to_dict(graph), f, indent=2)
+        json.dump(graph, f, indent=2)
         f.write("\n")

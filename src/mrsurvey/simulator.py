@@ -28,7 +28,7 @@ import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,16 +68,7 @@ class MissionConfig:
             raise ValueError("speed must be finite and > 0")
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    time: float
-    kind: str
-    poi: Optional[int] = None
-    robot: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     time: float
     distance_traveled: float
     expected_cost_accrued: float
@@ -108,18 +99,41 @@ class PlanningCallStats:
 
 @dataclass
 class MissionTrace:
+    """One mission, each fact kept once.
+
+    reveal_log[k] is the k-th reveal as (time, PoI id, damaged),
+    finishers[k] the robot that made it, and cost_curve[k + 1] the
+    curve point at that reveal; cost_curve[0] is the start.  The
+    totals are the curve's last point and the planner is the config's.
+    """
+
     scenario_seed: int
-    planner: str
     config: dict
     likelihoods: Dict[int, float]
-    events: Tuple[SimEvent, ...]
     reveal_log: Tuple[Tuple[float, int, bool], ...]
+    finishers: Tuple[int, ...]
     cost_curve: Tuple[CurvePoint, ...]
-    total_time: float
-    total_distance: float
-    total_expected_cost: float
-    total_realized_cost: float
     planning_calls: PlanningCallStats
+
+    @property
+    def planner(self) -> str:
+        return self.config["planner"]
+
+    @property
+    def total_time(self) -> float:
+        return self.cost_curve[-1].time
+
+    @property
+    def total_distance(self) -> float:
+        return self.cost_curve[-1].distance_traveled
+
+    @property
+    def total_expected_cost(self) -> float:
+        return self.cost_curve[-1].expected_cost_accrued
+
+    @property
+    def total_realized_cost(self) -> float:
+        return self.cost_curve[-1].realized_cost_accrued
 
 
 def _dispatch(name: str, config: PlannerConfig):
@@ -177,8 +191,8 @@ def run_mission(
     dist = 0.0
     exp_acc = 0.0
     real_acc = 0.0
-    events: List[SimEvent] = []
     reveals: List[Tuple[float, int, bool]] = []
+    finishers: List[int] = []
     curve: List[CurvePoint] = [CurvePoint(0.0, 0.0, 0.0, 0.0, damaged_left)]
     walls: List[float] = []
 
@@ -207,14 +221,12 @@ def run_mission(
         if was_damaged:
             damaged_left -= 1
         reveals.append((t, pid, was_damaged))
-        events.append(SimEvent(t, EVENT_INSPECTION, pid, outcome.finishing_robot))
+        finishers.append(outcome.finishing_robot)
         curve.append(CurvePoint(t, dist, exp_acc, real_acc, damaged_left))
         state = outcome.successor
 
-    events.append(SimEvent(t, EVENT_MISSION_END))
     return MissionTrace(
         scenario_seed=scenario.seed,
-        planner=config.planner,
         config={
             "planner": config.planner,
             "estimator": config.estimator,
@@ -226,13 +238,9 @@ def run_mission(
             "n_top_prob": config.planner_config.n_top_prob,
         },
         likelihoods=raw,
-        events=tuple(events),
         reveal_log=tuple(reveals),
+        finishers=tuple(finishers),
         cost_curve=tuple(curve),
-        total_time=t,
-        total_distance=dist,
-        total_expected_cost=exp_acc,
-        total_realized_cost=real_acc,
         planning_calls=PlanningCallStats.from_walls(walls),
     )
 
@@ -254,53 +262,55 @@ class ReplayResult:
 def replay_check(trace: MissionTrace, scenario: Scenario) -> ReplayResult:
     """Validate a trace against the scenario's ground truth.
 
-    Checks reveal completeness, damaged-flag agreement, per-robot
-    kinematic feasibility at the configured speed, event ordering, that
-    both cost integrals match their closed forms within 1e-6, and that
-    the cost curve's damaged-unreported counts follow the reveal log.
+    Checks reveal completeness, damaged-flag agreement, that the reveal
+    log, the finishers and the cost curve after its start line up one to
+    one with equal times, per-robot kinematic feasibility of the reveal
+    times at the configured speed, that both cost integrals match their
+    closed forms in the reveal times within 1e-6, and that the cost
+    curve's damaged-unreported counts follow the reveal log.
     """
     reasons: List[str] = []
     pois = {p.id: p for p in scenario.pois}
     speed = float(trace.config["speed"])
+    log = trace.reveal_log
+    curve = trace.cost_curve
 
-    revealed = [pid for _, pid, _ in trace.reveal_log]
+    revealed = [pid for _, pid, _ in log]
     if sorted(revealed) != sorted(pois):
         reasons.append("reveal log does not cover every PoI exactly once")
-    for t, pid, flag in trace.reveal_log:
+    for t, pid, flag in log:
         if pid in pois and bool(pois[pid].damaged) != bool(flag):
             reasons.append(f"damaged flag mismatch for PoI {pid}")
         if t < 0:
             reasons.append(f"negative reveal time for PoI {pid}")
 
-    times = [e.time for e in trace.events]
-    if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
-        reasons.append("event times decrease")
-    if not trace.events or trace.events[-1].kind != EVENT_MISSION_END:
-        reasons.append("missing mission_end event")
-    elif abs(trace.events[-1].time - trace.total_time) > REPLAY_TOL:
-        reasons.append("mission_end time disagrees with total_time")
+    # Everything below pairs the reveal log with the finishers and the
+    # curve by position, so a trace whose lengths differ stops here.
+    if not len(log) == len(trace.finishers) == len(curve) - 1:
+        reasons.append("reveal log, finishers and cost curve differ in length")
+        return ReplayResult(ok=False, reasons=reasons)
+    if [c.time for c in curve[1:]] != [t for t, _, _ in log]:
+        reasons.append("cost curve times differ from the reveal times")
 
     # Reveal times must be reachable: between two reveals by the same
     # robot it must at least fly the straight line and inspect.
     last_seen: Dict[int, Tuple[float, int]] = {}
-    for e in trace.events:
-        if e.kind != EVENT_INSPECTION or e.poi not in pois:
+    for (t, pid, _), robot in zip(log, trace.finishers):
+        if pid not in pois:
             continue
-        poi = pois[e.poi]
-        if e.robot in last_seen:
-            t_prev, pid_prev = last_seen[e.robot]
+        poi = pois[pid]
+        if robot in last_seen:
+            t_prev, pid_prev = last_seen[robot]
             prev = pois[pid_prev]
             lag = math.sqrt((poi.x - prev.x) ** 2 + (poi.y - prev.y) ** 2) / speed
         else:
             t_prev = 0.0
             lag = math.sqrt((poi.x - scenario.start[0]) ** 2 + (poi.y - scenario.start[1]) ** 2) / speed
-        if e.time - t_prev < lag + poi.inspect_time - REPLAY_TOL:
-            reasons.append(
-                f"PoI {e.poi} revealed at t={e.time:.3f} sooner than robot {e.robot} could reach it"
-            )
-        last_seen[e.robot] = (e.time, e.poi)
+        if t - t_prev < lag + poi.inspect_time - REPLAY_TOL:
+            reasons.append(f"PoI {pid} revealed at t={t:.3f} sooner than robot {robot} could reach it")
+        last_seen[robot] = (t, pid)
 
-    reveal_time = {pid: t for t, pid, _ in trace.reveal_log}
+    reveal_time = {pid: t for t, pid, _ in log}
     if set(reveal_time) == set(pois):
         realized = sum(reveal_time[pid] for pid in pois if pois[pid].damaged)
         if abs(realized - trace.total_realized_cost) > REPLAY_TOL:
@@ -316,7 +326,6 @@ def replay_check(trace: MissionTrace, scenario: Scenario) -> ReplayResult:
         else:
             reasons.append("trace likelihood map does not cover every PoI")
 
-    curve = trace.cost_curve
     for a, b in zip(curve, curve[1:]):
         if b.time < a.time or b.distance_traveled < a.distance_traveled - REPLAY_TOL:
             reasons.append("cost curve time or distance decreases")
@@ -331,13 +340,13 @@ def replay_check(trace: MissionTrace, scenario: Scenario) -> ReplayResult:
     # one at each damaged reveal.
     unreported = sum(1 for p in pois.values() if p.damaged)
     want = [unreported]
-    for _, pid, _ in trace.reveal_log:
+    for pid in revealed:
         if pid in pois and pois[pid].damaged:
             unreported -= 1
         want.append(unreported)
     if [c.n_damaged_unreported for c in curve] != want:
         reasons.append("cost curve damaged-unreported counts disagree with the reveal log")
-    if curve and curve[-1].n_damaged_unreported != 0:
+    if curve[-1].n_damaged_unreported != 0:
         reasons.append("mission ended with damaged PoIs unreported")
     n_rob = int(trace.config["n_robots"])
     if trace.total_distance > n_rob * speed * trace.total_time + REPLAY_TOL:
@@ -348,40 +357,27 @@ def replay_check(trace: MissionTrace, scenario: Scenario) -> ReplayResult:
 
 # --- trace files -------------------------------------------------------------
 
-# The cost-curve fields an event record carries: (JSON key, CurvePoint field).
-_CURVE_KEYS = (
-    ("distance", "distance_traveled"),
-    ("expected_cost", "expected_cost_accrued"),
-    ("realized_cost", "realized_cost_accrued"),
-    ("n_damaged_unreported", "n_damaged_unreported"),
-)
+# The JSON keys of an event record's cost-curve fields, in CurvePoint's
+# order after time.
+_CURVE_KEYS = ("distance", "expected_cost", "realized_cost", "n_damaged_unreported")
 
 
 def write_trace(trace: MissionTrace, path: str) -> None:
-    """JSON-lines trace: one record per event, then a summary record.
+    """JSON-lines trace: one event record per reveal, a mission_end
+    event record, then a summary record.
 
-    The k-th inspection event carries cost-curve point k + 1 (point 0 is
+    The k-th reveal's record carries cost-curve point k + 1 (point 0 is
     the start), and mission_end carries the last point.  Points are
     matched by position, not time: reveals can share a timestamp.
     """
+    records = [
+        {"type": "event", "time": t, "kind": EVENT_INSPECTION, "poi": pid, "robot": robot, "damaged": flag}
+        for (t, pid, flag), robot in zip(trace.reveal_log, trace.finishers)
+    ]
+    records.append({"type": "event", "time": trace.total_time, "kind": EVENT_MISSION_END, "poi": None, "robot": None})
     with open(path, "w") as f:
-        damaged = {pid: flag for _, pid, flag in trace.reveal_log}
-        n_inspected = 0
-        for e in trace.events:
-            rec = {
-                "type": "event",
-                "time": e.time,
-                "kind": e.kind,
-                "poi": e.poi,
-                "robot": e.robot,
-            }
-            if e.kind == EVENT_INSPECTION:
-                rec["damaged"] = damaged.get(e.poi)
-                n_inspected += 1
-                c = trace.cost_curve[n_inspected]
-            else:
-                c = trace.cost_curve[-1]
-            rec.update((key, getattr(c, name)) for key, name in _CURVE_KEYS)
+        for rec, point in zip(records, trace.cost_curve[1:] + trace.cost_curve[-1:]):
+            rec.update(zip(_CURVE_KEYS, point[1:]))
             f.write(json.dumps(rec) + "\n")
         summary = {
             "type": "summary",
@@ -399,34 +395,43 @@ def write_trace(trace: MissionTrace, path: str) -> None:
 
 
 def load_trace(path: str) -> MissionTrace:
-    events: List[SimEvent] = []
+    """Rebuild a trace from the reveals' event records of a trace file.
+
+    The summary's totals and the mission_end record repeat the last
+    curve point; a file where they differ from it is a ValueError.
+    """
     reveals: List[Tuple[float, int, bool]] = []
+    finishers: List[int] = []
     curve: List[CurvePoint] = []
-    summary = None
+    summary = last = None
     with open(path) as f:
         for line in f:
             rec = json.loads(line)
             if rec["type"] == "summary":
                 summary = rec
                 continue
-            events.append(SimEvent(rec["time"], rec["kind"], rec.get("poi"), rec.get("robot")))
+            last = rec
             if rec["kind"] == EVENT_INSPECTION:
                 reveals.append((rec["time"], rec["poi"], bool(rec["damaged"])))
-                curve.append(CurvePoint(time=rec["time"], **{name: rec[key] for key, name in _CURVE_KEYS}))
-    if summary is None:
-        raise ValueError(f"trace file {path} has no summary record")
+                finishers.append(rec["robot"])
+                curve.append(CurvePoint(rec["time"], *(rec[key] for key in _CURVE_KEYS)))
+    if summary is None or last is None:
+        raise ValueError(f"trace file {path} lacks its event or summary records")
     initial = CurvePoint(0.0, 0.0, 0.0, 0.0, sum(1 for _, _, d in reveals if d))
-    return MissionTrace(
+    trace = MissionTrace(
         scenario_seed=summary["scenario_seed"],
-        planner=summary["planner"],
         config=summary["config"],
         likelihoods={int(k): float(v) for k, v in summary["likelihoods"].items()},
-        events=tuple(events),
         reveal_log=tuple(reveals),
+        finishers=tuple(finishers),
         cost_curve=tuple([initial] + curve),
-        total_time=summary["total_time"],
-        total_distance=summary["total_distance"],
-        total_expected_cost=summary["total_expected_cost"],
-        total_realized_cost=summary["total_realized_cost"],
         planning_calls=PlanningCallStats(**summary["planning_calls"]),
     )
+    for key in ("time", "distance", "expected_cost", "realized_cost"):
+        total = f"total_{key}"
+        if not summary[total] == last[key] == getattr(trace, total):
+            raise ValueError(
+                f"trace file {path}: {total} is {summary[total]!r} in the summary and {last[key]!r} "
+                f"in the last event record, but the reveals end at {getattr(trace, total)!r}"
+            )
+    return trace

@@ -426,8 +426,8 @@ class TestBadInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("id", 1, "duplicate PoI ids [1]"),
-        ("inspect_time", -5.0, "inspect times of PoI ids [2] must be finite and >= 0"),
+        ("id", 1, "pois: duplicate PoI ids [1]"),
+        ("inspect_time", -5.0, "pois: inspect times of PoI ids [2] must be finite and >= 0"),
     ], ids=["repeated_id", "negative_inspect_time"])
     def test_scenario_file_with_unusable_pois(self, key, value, message, tmp_path, capsys):
         world = scenario_to_dict(generate_scenario(9, 5))
@@ -436,7 +436,7 @@ class TestBadInputs:
         path.write_text(json.dumps(world))
         out = tmp_path / "out"
         _assert_usage_error(capsys, "simulate", ["--scenario", str(path), "--planner", "greedy",
-                                                 "--out-dir", str(out)], message)
+                                                 "--out-dir", str(out)], f"{path}: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("at, key, value, message", [

@@ -16,7 +16,6 @@ from mrsurvey.scenario import (
     build_graph,
     damage_probability,
     generate_scenario,
-    graph_to_dict,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -191,9 +190,9 @@ class TestSerialization:
             load_scenario(str(path))
 
     @pytest.mark.parametrize("key, value, message", [
-        ("id", 1, "duplicate PoI ids [1]"),
-        ("inspect_time", -5.0, "inspect times of PoI ids [2] must be finite and >= 0"),
-        ("inspect_time", math.inf, "inspect times of PoI ids [2] must be finite and >= 0"),
+        ("id", 1, "scenario: pois: duplicate PoI ids [1]"),
+        ("inspect_time", -5.0, "scenario: pois: inspect times of PoI ids [2] must be finite and >= 0"),
+        ("inspect_time", math.inf, "scenario: pois: inspect times of PoI ids [2] must be finite and >= 0"),
         ("class", "house", "scenario: pois[2]: class = 'house' is not one of forest, field, building"),
     ], ids=["repeated_id", "negative_inspect_time", "infinite_inspect_time", "unknown_class"])
     def test_load_rejects_pois_a_mission_cannot_use(self, key, value, message):
@@ -251,17 +250,17 @@ def _two_poi_scenario(dist):
 class TestBuildGraph:
     def test_edge_present_at_the_cutoff_with_zero_weight(self):
         g = build_graph(_two_poi_scenario(400.0))
-        cross = {(e.src, e.dst): e.w for e in g.edges if e.src != e.dst}
+        cross = {(e["src"], e["dst"]): e["w"] for e in g["edges"] if e["src"] != e["dst"]}
         assert cross == {(0, 1): 0.0, (1, 0): 0.0}
 
     def test_weight_linear_in_distance(self):
         g = build_graph(_two_poi_scenario(100.0))
-        cross = {(e.src, e.dst): e.w for e in g.edges if e.src != e.dst}
+        cross = {(e["src"], e["dst"]): e["w"] for e in g["edges"] if e["src"] != e["dst"]}
         assert cross == {(0, 1): 0.75, (1, 0): 0.75}
 
     def test_no_edge_past_the_cutoff(self):
         g = build_graph(_two_poi_scenario(400.5))
-        assert all(e.src == e.dst for e in g.edges)
+        assert all(e["src"] == e["dst"] for e in g["edges"])
 
     def test_single_node_graph_is_one_self_edge(self):
         params = GenerativeParams()
@@ -269,8 +268,8 @@ class TestBuildGraph:
                         pois=(PoI(id=0, x=1.0, y=2.0, poi_class="building"),),
                         wind_pockets=())
         g = build_graph(scen)
-        assert len(g.nodes) == 1
-        assert [(e.src, e.dst, e.w) for e in g.edges] == [(0, 0, 1.0)]
+        assert len(g["nodes"]) == 1
+        assert g["edges"] == [{"src": 0, "dst": 0, "w": 1.0}]
 
     def test_onehot_classes_and_pocket_nodes(self):
         params = GenerativeParams()
@@ -284,21 +283,21 @@ class TestBuildGraph:
             wind_pockets=(WindPocket(30.0, 0.0),),
         )
         g = build_graph(scen)
-        onehot = {n.id: tuple(n.onehot) for n in g.nodes}
-        assert onehot[0] == (1.0, 0.0, 0.0, 0.0)
-        assert onehot[1] == (0.0, 1.0, 0.0, 0.0)
-        assert onehot[2] == (0.0, 0.0, 1.0, 0.0)
+        onehot = {n["id"]: n["onehot"] for n in g["nodes"]}
+        assert onehot[0] == [1.0, 0.0, 0.0, 0.0]
+        assert onehot[1] == [0.0, 1.0, 0.0, 0.0]
+        assert onehot[2] == [0.0, 0.0, 1.0, 0.0]
         # the pocket node id continues after the highest PoI id
-        assert onehot[3] == (0.0, 0.0, 0.0, 1.0)
+        assert onehot[3] == [0.0, 0.0, 0.0, 1.0]
 
     def test_symmetry_and_self_edges_on_generated_world(self):
         scen = generate_scenario(31, 10)
         g = build_graph(scen)
         n_nodes = len(scen.pois) + len(scen.wind_pockets)
-        assert len(g.nodes) == n_nodes
-        weights = {(e.src, e.dst): e.w for e in g.edges}
-        for node in g.nodes:
-            assert weights[(node.id, node.id)] == 1.0
+        assert len(g["nodes"]) == n_nodes
+        weights = {(e["src"], e["dst"]): e["w"] for e in g["edges"]}
+        for node in g["nodes"]:
+            assert weights[(node["id"], node["id"])] == 1.0
         for (u, v), w in weights.items():
             if u != v:
                 assert weights[(v, u)] == w
@@ -307,10 +306,9 @@ class TestBuildGraph:
     def test_graph_dict_schema(self, tmp_path):
         scen = generate_scenario(37, 4)
         g = build_graph(scen)
-        d = graph_to_dict(g)
-        assert set(d) == {"nodes", "edges"}
-        assert all(set(n) == {"id", "onehot"} and len(n["onehot"]) == 4 for n in d["nodes"])
-        assert all(set(e) == {"src", "dst", "w"} for e in d["edges"])
+        assert set(g) == {"nodes", "edges"}
+        assert all(set(n) == {"id", "onehot"} and len(n["onehot"]) == 4 for n in g["nodes"])
+        assert all(set(e) == {"src", "dst", "w"} for e in g["edges"])
         path = tmp_path / "graph.json"
         write_graph(g, str(path))
-        assert json.loads(path.read_text()) == d
+        assert json.loads(path.read_text()) == g

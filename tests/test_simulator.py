@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,7 +75,8 @@ class TestRunMission:
         assert trace.total_distance == 0.0
         assert trace.total_realized_cost == 0.0
         assert trace.reveal_log == ()
-        assert [e.kind for e in trace.events] == ["mission_end"]
+        assert trace.finishers == ()
+        assert trace.cost_curve == (sim.CurvePoint(0.0, 0.0, 0.0, 0.0, 0),)
 
     def test_unknown_planner_rejected(self):
         with pytest.raises(ValueError):
@@ -366,13 +368,12 @@ class TestKinematics:
         xy = {p.id: (p.x, p.y) for p in scen.pois}
         insp = {p.id: p.inspect_time for p in scen.pois}
         last = {}
-        for ev in trace.events:
-            if ev.kind != "inspection_complete":
-                continue
-            t0, pos = last.get(ev.robot, (0.0, scen.start))
-            need = math.dist(pos, xy[ev.poi]) / cfg.speed + insp[ev.poi]
-            assert ev.time >= t0 + need - 1e-9
-            last[ev.robot] = (ev.time, xy[ev.poi])
+        assert len(trace.finishers) == len(trace.reveal_log)
+        for (t, pid, _), robot in zip(trace.reveal_log, trace.finishers):
+            t0, pos = last.get(robot, (0.0, scen.start))
+            need = math.dist(pos, xy[pid]) / cfg.speed + insp[pid]
+            assert t >= t0 + need - 1e-9
+            last[robot] = (t, xy[pid])
 
 
 class TestNearestNeighborEquivalence:
@@ -421,10 +422,11 @@ class TestReplayCheck:
     def test_rejects_unreachable_reveal(self):
         scen = _single_poi_scenario(True)
         trace = run_mission(scen, MissionConfig(), likelihoods={0: 0.3})
+        start, end = trace.cost_curve
         early = dataclasses.replace(
             trace,
             reveal_log=((10.0, 0, True),),
-            events=(dataclasses.replace(trace.events[0], time=10.0),) + trace.events[1:],
+            cost_curve=(start, end._replace(time=10.0)),
         )
         result = replay_check(early, scen)
         assert not result.ok
@@ -436,7 +438,8 @@ class TestReplayCheck:
         doubled = dataclasses.replace(
             trace,
             reveal_log=trace.reveal_log + trace.reveal_log,
-            events=(trace.events[0], trace.events[0]) + trace.events[1:],
+            finishers=trace.finishers + trace.finishers,
+            cost_curve=trace.cost_curve + trace.cost_curve[-1:],
         )
         result = replay_check(doubled, scen)
         assert not result.ok
@@ -445,8 +448,39 @@ class TestReplayCheck:
     def test_rejects_tampered_costs(self):
         scen = _single_poi_scenario(True)
         trace = run_mission(scen, MissionConfig(), likelihoods={0: 0.3})
-        inflated = dataclasses.replace(trace, total_realized_cost=999.0)
+        end = trace.cost_curve[-1]._replace(realized_cost_accrued=999.0)
+        inflated = dataclasses.replace(trace, cost_curve=trace.cost_curve[:-1] + (end,))
+        assert inflated.total_realized_cost == 999.0
         assert not replay_check(inflated, scen).ok
+
+    def test_rejects_a_reveal_without_its_finisher(self):
+        scen = _single_poi_scenario(True)
+        trace = run_mission(scen, MissionConfig(), likelihoods={0: 0.3})
+        result = replay_check(dataclasses.replace(trace, finishers=()), scen)
+        assert not result.ok
+        assert "reveal log, finishers and cost curve differ in length" in result.reasons
+
+    def test_rejects_reveal_times_cut_from_the_flown_mission(self):
+        # Every reveal claimed 20% sooner than flown: the claimed realized
+        # cost falls from 860.5 to 688.4.
+        scen = m.generate_scenario(5, 36)
+        trace = run_mission(scen, MissionConfig(planner="greedy", n_robots=3))
+        assert round(trace.total_realized_cost, 1) == 860.5
+        cut = tuple((0.8 * t, pid, flag) for t, pid, flag in trace.reveal_log)
+        # The cost curve left as flown no longer matches the reveal times.
+        result = replay_check(dataclasses.replace(trace, reveal_log=cut), scen)
+        assert not result.ok
+        assert "cost curve times differ from the reveal times" in result.reasons
+        # A curve cut to match, with costs that fit the cut times, still
+        # asks the robots' legs as flown to be flown sooner than they can.
+        curve = tuple(c._replace(time=0.8 * c.time, expected_cost_accrued=0.8 * c.expected_cost_accrued,
+                                 realized_cost_accrued=0.8 * c.realized_cost_accrued)
+                      for c in trace.cost_curve)
+        claimed = dataclasses.replace(trace, reveal_log=cut, cost_curve=curve)
+        assert round(claimed.total_realized_cost, 1) == 688.4
+        result = replay_check(claimed, scen)
+        assert not result.ok
+        assert any("sooner than robot" in r for r in result.reasons)
 
 
 class TestTraceFiles:
@@ -465,7 +499,7 @@ class TestTraceFiles:
             assert loaded.scenario_seed == trace.scenario_seed
             assert loaded.planner == trace.planner
             assert loaded.reveal_log == trace.reveal_log
-            assert loaded.events == trace.events
+            assert loaded.finishers == trace.finishers
             assert loaded.cost_curve == trace.cost_curve
             assert loaded.likelihoods == trace.likelihoods
             assert loaded.total_time == trace.total_time
@@ -481,7 +515,7 @@ class TestTraceFiles:
             assert replay_check(loaded, scen).ok
         # a curve that drops a damaged PoI before its reveal is rejected
         curve = list(trace.cost_curve)
-        curve[1] = dataclasses.replace(curve[1], n_damaged_unreported=0)
+        curve[1] = curve[1]._replace(n_damaged_unreported=0)
         bad = replay_check(dataclasses.replace(trace, cost_curve=tuple(curve)), scen)
         assert not bad.ok
         assert any("damaged-unreported" in r for r in bad.reasons)
@@ -494,11 +528,32 @@ class TestTraceFiles:
         write_trace(trace, str(path))
         lines = path.read_text().strip().split("\n")
         records = [json.loads(line) for line in lines]
-        assert len(records) == len(trace.events) + 1
-        assert [r["type"] for r in records] == ["event"] * len(trace.events) + ["summary"]
+        n = len(trace.reveal_log)
+        assert [r["type"] for r in records] == ["event"] * (n + 1) + ["summary"]
+        assert [r["kind"] for r in records[:-1]] == ["inspection_complete"] * n + ["mission_end"]
         assert records[-1]["scenario_seed"] == scen.seed
         assert list(records[-1]["config"]) == [
             "planner", "estimator", "n_robots", "speed", "seed", "depth_cap", "n_priority", "n_top_prob"]
+
+    @pytest.mark.parametrize("line, key, total", [
+        (-1, "total_realized_cost", "total_realized_cost"),
+        (-2, "time", "total_time"),
+    ], ids=["summary", "mission_end"])
+    def test_load_rejects_totals_that_differ_from_the_reveals(self, tmp_path, line, key, total):
+        # The summary's totals and the mission_end record repeat the last
+        # reveal's curve point.
+        import json
+        scen = m.generate_scenario(74, 5)
+        trace = run_mission(scen, MissionConfig(planner="greedy", n_robots=2))
+        path = tmp_path / "trace.jsonl"
+        write_trace(trace, str(path))
+        lines = path.read_text().splitlines()
+        edited = json.loads(lines[line])
+        edited[key] += 1.0
+        lines[line] = json.dumps(edited)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"trace file {path}: {total}")):
+            load_trace(str(path))
 
     def test_trace_written_with_a_cost_rate_still_replays(self, tmp_path):
         # Trace files written before the cost rate was dropped carry
