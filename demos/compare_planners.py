@@ -22,9 +22,8 @@ report = m.run_experiment(spec)
 
 print(f"{spec.n_trials} paired trials per cell, planners {spec.planners}")
 print(f"\n{'planner':>12} {'pois':>5} {'robots':>7} {'mean':>9} {'median':>9} {'std':>8}")
-for key in sorted(report.cells):
-    c = report.cells[key]
-    print(f"{c.planner:>12} {c.n_pois:>5} {c.n_robots:>7} "
+for (planner, n_pois, n_robots), c in sorted(report.cells.items()):
+    print(f"{planner:>12} {n_pois:>5} {n_robots:>7} "
           f"{c.mean:>9.1f} {c.median:>9.1f} {c.std:>8.1f}")
 
 print()

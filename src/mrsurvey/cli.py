@@ -223,18 +223,16 @@ def _cmd_run(eff: Dict, parser: argparse.ArgumentParser) -> int:
         resolve_likelihoods(generate_scenario(spec.seed_base, spec.n_pois[0]), spec.estimator)
     report = run_experiment(spec)
     written = emit_outputs(report, eff["out_dir"])
-    for n_p in spec.n_pois:
-        for n_r in spec.n_robots:
-            for planner in spec.planners:
-                c = report.cells[(planner, n_p, n_r)]
-                print(
-                    f"{planner:>10s} pois={n_p:<3d} robots={n_r:<2d} "
-                    f"mean={c.mean:10.2f} median={c.median:10.2f} std={c.std:9.2f}"
-                )
-    if report.replay_failures:
-        print(f"warning: {len(report.replay_failures)} trace(s) failed replay validation", file=sys.stderr)
+    for (planner, n_p, n_r), c in report.cells.items():
+        print(
+            f"{planner:>10s} pois={n_p:<3d} robots={n_r:<2d} "
+            f"mean={c.mean:10.2f} median={c.median:10.2f} std={c.std:9.2f}"
+        )
+    failures = report.replay_failures
+    if failures:
+        print(f"warning: {len(failures)} trace(s) failed replay validation", file=sys.stderr)
     print(f"wrote {len(written)} files to {eff['out_dir']}")
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_simulate(eff: Dict, parser: argparse.ArgumentParser) -> int:

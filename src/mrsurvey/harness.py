@@ -51,44 +51,100 @@ class ExperimentSpec:
                 MissionConfig(planner, self.planner_config, self.estimator, n_robots, self.speed)
 
 
+Cell = Tuple[str, int, int]  # (planner, n_pois, n_robots)
+
+
 @dataclass(frozen=True)
 class MissionOutcome:
+    """One mission: its cost, time and distance are its curve's last point."""
+
     seed: int
-    cost: float
-    total_time: float
-    total_distance: float
-    planning_wall_median: float
     curve: Tuple[CurvePoint, ...]
+    planning_wall_median: float
     replay_reasons: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class CellStats:
-    planner: str
-    n_pois: int
-    n_robots: int
-    mean: float
-    median: float
-    std: float
-    mean_distance: float
-    mean_time: float
-    planning_wall_medians: Tuple[float, ...]
-    seeds: Tuple[int, ...]
-    costs: Tuple[float, ...]
+    """One cell's missions, in seed order; every aggregate is read from them."""
+
+    outcomes: Tuple[MissionOutcome, ...]
+
+    @property
+    def seeds(self) -> Tuple[int, ...]:
+        return tuple(o.seed for o in self.outcomes)
+
+    @property
+    def costs(self) -> Tuple[float, ...]:
+        return tuple(o.curve[-1].realized_cost_accrued for o in self.outcomes)
+
+    @property
+    def planning_wall_medians(self) -> Tuple[float, ...]:
+        return tuple(o.planning_wall_median for o in self.outcomes)
+
+    @property
+    def mean(self) -> float:
+        return float(statistics.fmean(self.costs))
+
+    @property
+    def median(self) -> float:
+        return float(statistics.median(self.costs))
+
+    @property
+    def std(self) -> float:
+        costs = self.costs
+        return float(statistics.stdev(costs)) if len(costs) > 1 else 0.0
+
+    @property
+    def mean_distance(self) -> float:
+        return float(statistics.fmean(o.curve[-1].distance_traveled for o in self.outcomes))
+
+    @property
+    def mean_time(self) -> float:
+        return float(statistics.fmean(o.curve[-1].time for o in self.outcomes))
 
 
 @dataclass
 class AggregateReport:
+    """The spec and its cells in grid order (PoI count, then robot count,
+    then planner); curves, replay failures and improvements are read
+    from the cells."""
+
     spec: ExperimentSpec
-    cells: Dict[Tuple[str, int, int], CellStats]
-    improvements: Dict[Tuple[int, int, str], float]
-    curves: Dict[Tuple[str, int, int], Tuple[Tuple[int, tuple], ...]]
-    replay_failures: Tuple[Tuple[int, int, int, str, Tuple[str, ...]], ...]
+    cells: Dict[Cell, CellStats]
+
+    @property
+    def curves(self) -> Dict[Cell, Tuple[Tuple[int, Tuple[CurvePoint, ...]], ...]]:
+        """Each cell's (seed, cost curve) pairs, in seed order."""
+        return {key: tuple((o.seed, o.curve) for o in c.outcomes) for key, c in self.cells.items()}
+
+    @property
+    def replay_failures(self) -> Tuple[Tuple[int, int, int, str, Tuple[str, ...]], ...]:
+        """(n_pois, n_robots, seed, planner, reasons) of each mission that
+        failed replay, in cell order, then seed order."""
+        return tuple(
+            (n_p, n_r, o.seed, planner, o.replay_reasons)
+            for (planner, n_p, n_r), c in self.cells.items()
+            for o in c.outcomes
+            if o.replay_reasons
+        )
+
+    @property
+    def improvements(self) -> Dict[Tuple[int, int, str], float]:
+        """The model's paired gain over each baseline, in percent of the
+        baseline's mean cost, keyed (n_pois, n_robots, baseline); empty
+        without the model."""
+        if "model" not in self.spec.planners:
+            return {}
+        gains = {}
+        for (planner, n_p, n_r), c in self.cells.items():
+            if planner != "model":
+                model_mean = self.cells[("model", n_p, n_r)].mean
+                gains[(n_p, n_r, planner)] = 100.0 * (c.mean - model_mean) / c.mean if c.mean else 0.0
+        return gains
 
 
-def _run_trial(
-    spec: ExperimentSpec, n_pois: int, seed: int
-) -> List[Tuple[Tuple[str, int, int], MissionOutcome]]:
+def _run_trial(spec: ExperimentSpec, n_pois: int, seed: int) -> List[Tuple[Cell, MissionOutcome]]:
     """Trial seed at n_pois PoIs: every planner at every robot count, on
     one world generated and resolved once, each outcome keyed by its
     (planner, n_pois, n_robots) cell."""
@@ -108,11 +164,8 @@ def _run_trial(
             trace = run_mission(scenario, config, likelihoods=likelihoods)
             outcome = MissionOutcome(
                 seed=seed,
-                cost=trace.total_realized_cost,
-                total_time=trace.total_time,
-                total_distance=trace.total_distance,
-                planning_wall_median=trace.planning_calls.median_wall,
                 curve=trace.cost_curve,
+                planning_wall_median=trace.planning_calls.median_wall,
                 replay_reasons=tuple(replay_check(trace, scenario).reasons),
             )
             pairs.append(((planner, n_pois, n_robots), outcome))
@@ -133,67 +186,14 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
         trials = [_run_trial(spec, n_p, seed) for n_p, seed in tasks]
     # Task order (pool.map keeps it) puts the cells in grid order and the
     # seeds in ascending order within each cell.
-    by_cell: Dict[Tuple[str, int, int], List[MissionOutcome]] = {}
+    by_cell: Dict[Cell, List[MissionOutcome]] = {}
     for pairs in trials:
         for key, outcome in pairs:
             by_cell.setdefault(key, []).append(outcome)
-
-    cells: Dict[Tuple[str, int, int], CellStats] = {}
-    curves: Dict[Tuple[str, int, int], Tuple[Tuple[int, tuple], ...]] = {}
-    failures: List[Tuple[int, int, int, str, Tuple[str, ...]]] = []
-    for key, outs in by_cell.items():
-        planner, n_p, n_r = key
-        costs = tuple(o.cost for o in outs)
-        cells[key] = CellStats(
-            planner=planner,
-            n_pois=n_p,
-            n_robots=n_r,
-            mean=float(statistics.fmean(costs)),
-            median=float(statistics.median(costs)),
-            std=float(statistics.stdev(costs)) if len(costs) > 1 else 0.0,
-            mean_distance=float(statistics.fmean(o.total_distance for o in outs)),
-            mean_time=float(statistics.fmean(o.total_time for o in outs)),
-            planning_wall_medians=tuple(o.planning_wall_median for o in outs),
-            seeds=tuple(o.seed for o in outs),
-            costs=costs,
-        )
-        curves[key] = tuple((o.seed, o.curve) for o in outs)
-        failures.extend((n_p, n_r, o.seed, planner, o.replay_reasons) for o in outs if o.replay_reasons)
-
-    improvements: Dict[Tuple[int, int, str], float] = {}
-    if "model" in spec.planners:
-        for (planner, n_p, n_r), cell in cells.items():
-            if planner != "model":
-                model_mean = cells[("model", n_p, n_r)].mean
-                improvements[(n_p, n_r, planner)] = (
-                    100.0 * (cell.mean - model_mean) / cell.mean if cell.mean else 0.0
-                )
-
-    return AggregateReport(
-        spec=spec,
-        cells=cells,
-        improvements=improvements,
-        curves=curves,
-        replay_failures=tuple(failures),
-    )
+    return AggregateReport(spec, {key: CellStats(tuple(outs)) for key, outs in by_cell.items()})
 
 
 # --- file outputs ------------------------------------------------------------
-
-
-def _improvement_for_row(report: AggregateReport, planner: str, n_p: int, n_r: int) -> str:
-    """pct_improvement column: model row shows gain over the better
-    baseline; baseline rows show the model's gain over that baseline."""
-    if "model" not in report.spec.planners:
-        return ""
-    baselines = [p for p in report.spec.planners if p != "model"]
-    if not baselines:
-        return ""
-    if planner == "model":
-        pct = min(report.improvements[(n_p, n_r, b)] for b in baselines)
-    else:
-        pct = report.improvements[(n_p, n_r, planner)]
-    return repr(pct)
 
 
 def emit_outputs(report: AggregateReport, out_dir: str) -> List[str]:
@@ -205,23 +205,26 @@ def emit_outputs(report: AggregateReport, out_dir: str) -> List[str]:
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
     spec = report.spec
+    baselines = [p for p in spec.planners if p != "model"]
+    improvements = report.improvements
 
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w") as f:
         f.write("planner,n_pois,n_robots,mean,median,std,pct_improvement\n")
-        for n_p in spec.n_pois:
-            for n_r in spec.n_robots:
-                for planner in spec.planners:
-                    c = report.cells[(planner, n_p, n_r)]
-                    f.write(
-                        f"{planner},{n_p},{n_r},{c.mean!r},{c.median!r},{c.std!r},"
-                        f"{_improvement_for_row(report, planner, n_p, n_r)}\n"
-                    )
+        for (planner, n_p, n_r), c in report.cells.items():
+            # pct_improvement: a baseline row shows the model's gain over
+            # that baseline, the model row its gain over the better one.
+            if not improvements:
+                pct = ""
+            elif planner == "model":
+                pct = repr(min(improvements[(n_p, n_r, b)] for b in baselines))
+            else:
+                pct = repr(improvements[(n_p, n_r, planner)])
+            f.write(f"{planner},{n_p},{n_r},{c.mean!r},{c.median!r},{c.std!r},{pct}\n")
     written.append(summary_path)
 
-    baselines = [p for p in spec.planners if p != "model"]
     scatter_paths = []
-    if "model" in spec.planners and baselines:
+    if improvements:
         for n_p in spec.n_pois:
             for n_r in spec.n_robots:
                 path = os.path.join(out_dir, f"scatter_p{n_p}_r{n_r}.csv")
@@ -240,11 +243,12 @@ def emit_outputs(report: AggregateReport, out_dir: str) -> List[str]:
                 dst.write(src.read())
             written.append(plain)
 
-    for (planner, n_p, n_r), rows in sorted(report.curves.items()):
+    cells = sorted(report.cells.items())
+    for (planner, n_p, n_r), c in cells:
         path = os.path.join(out_dir, f"curves_p{n_p}_r{n_r}_{planner}.jsonl")
         with open(path, "w") as f:
-            for seed, curve in rows:
-                f.write(json.dumps({"seed": seed, "curve": [list(pt) for pt in curve]}) + "\n")
+            for o in c.outcomes:
+                f.write(json.dumps({"seed": o.seed, "curve": [list(pt) for pt in o.curve]}) + "\n")
         written.append(path)
 
     stats_path = os.path.join(out_dir, "stats.json")
@@ -264,25 +268,21 @@ def emit_outputs(report: AggregateReport, out_dir: str) -> List[str]:
                 },
                 "cells": [
                     {
-                        "planner": c.planner,
-                        "n_pois": c.n_pois,
-                        "n_robots": c.n_robots,
+                        "planner": planner,
+                        "n_pois": n_p,
+                        "n_robots": n_r,
                         "mean": c.mean,
                         "median": c.median,
                         "std": c.std,
                         "mean_distance": c.mean_distance,
                         "mean_time": c.mean_time,
-                        "median_planning_wall": (
-                            float(statistics.median(c.planning_wall_medians))
-                            if c.planning_wall_medians
-                            else 0.0
-                        ),
+                        "median_planning_wall": float(statistics.median(c.planning_wall_medians)),
                     }
-                    for _, c in sorted(report.cells.items())
+                    for (planner, n_p, n_r), c in cells
                 ],
                 "improvements": [
                     {"n_pois": k[0], "n_robots": k[1], "baseline": k[2], "pct": v}
-                    for k, v in sorted(report.improvements.items())
+                    for k, v in sorted(improvements.items())
                 ],
                 "replay_failures": [
                     {

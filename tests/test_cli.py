@@ -13,11 +13,11 @@ import weakref
 
 import pytest
 
-from mrsurvey import cli
+from mrsurvey import cli, harness
 from mrsurvey.harness import ExperimentSpec
 from mrsurvey.planner import PlannerConfig
 from mrsurvey.scenario import generate_scenario, load_scenario, scenario_to_dict
-from mrsurvey.simulator import MissionConfig, load_trace
+from mrsurvey.simulator import MissionConfig, ReplayResult, load_trace
 
 
 class TestGenerate:
@@ -82,6 +82,33 @@ class TestRun:
         lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
         # header plus 2 planners x 2 robot counts
         assert len(lines) == 5
+
+    def test_replay_failure_exits_1_after_writing_every_file(self, tmp_path, capsys, monkeypatch):
+        # One mission (greedy, seed 12) fails replay; the run still writes
+        # its files and warns, but exits 1, as simulate does.
+        replay, run, reports = harness.replay_check, cli.run_experiment, []
+
+        def failing(trace, world):
+            if trace.planner == "greedy" and world.seed == 12:
+                return ReplayResult(False, ["reveal of PoI 0 is too early"])
+            return replay(trace, world)
+
+        def kept(spec):
+            reports.append(run(spec))
+            return reports[-1]
+
+        monkeypatch.setattr(harness, "replay_check", failing)
+        monkeypatch.setattr(cli, "run_experiment", kept)
+        rc = cli.main(["run", "--n-trials", "2", "--n-pois", "4", "--n-robots", "1",
+                       "--planner", "optimistic,greedy", "--seed", "11", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "warning: 1 trace(s) failed replay validation" in capsys.readouterr().err
+        assert reports[0].replay_failures == ((4, 1, 12, "greedy", ("reveal of PoI 0 is too early",)),)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curves_p4_r1_greedy.jsonl", "curves_p4_r1_optimistic.jsonl", "stats.json", "summary.csv"]
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert stats["replay_failures"] == [
+            {"n_pois": 4, "n_robots": 1, "seed": 12, "planner": "greedy", "reasons": ["reveal of PoI 0 is too early"]}]
 
 
 class TestSimulate:

@@ -138,6 +138,43 @@ class TestRunExperiment:
                 # curve rows are (time, distance, expected, realized, unreported)
                 assert curve[-1][4] == 0
 
+    def test_cell_aggregates_equal_the_traces(self):
+        # Each cell's costs, mean time and mean distance, bit for bit, are
+        # those of the missions flown on the same worlds one at a time.
+        spec = _tiny_spec(n_trials=2, n_robots=(1, 2))
+        rep = run_experiment(spec)
+        for (planner, n_p, n_r), cell in rep.cells.items():
+            traces = []
+            for seed in cell.seeds:
+                world = m.generate_scenario(seed, n_p)
+                config = m.MissionConfig(planner, spec.planner_config, spec.estimator, n_r, spec.speed, seed)
+                traces.append(m.run_mission(world, config, m.resolve_likelihoods(world, spec.estimator)))
+            assert cell.costs == tuple(t.total_realized_cost for t in traces)
+            assert cell.mean_time == statistics.fmean(t.total_time for t in traces)
+            assert cell.mean_distance == statistics.fmean(t.total_distance for t in traces)
+            assert cell.mean_distance > 0
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_cells_are_in_grid_order(self, parallelism, tmp_path):
+        # Grid order: PoI count, then robot count, then planner, each as
+        # the spec lists them (here unsorted); summary.csv follows it.
+        spec = _tiny_spec(n_trials=2, n_pois=(5, 4), n_robots=(2, 1), planners=("optimistic", "greedy"),
+                          parallelism=parallelism)
+        rep = run_experiment(spec)
+        grid = [(p, n, r) for n in spec.n_pois for r in spec.n_robots for p in spec.planners]
+        assert list(rep.cells) == grid
+        emit_outputs(rep, str(tmp_path))
+        rows = (tmp_path / "summary.csv").read_text().strip().split("\n")[1:]
+        assert [(p, int(n), int(r)) for p, n, r, *_ in (row.split(",") for row in rows)] == grid
+
+    def test_report_keeps_each_mission_once(self):
+        # Every aggregate, curve, replay failure and improvement is read
+        # from the outcomes, so none is stored beside them.
+        fields = [[f.name for f in dataclasses.fields(cls)]
+                  for cls in (harness.MissionOutcome, harness.CellStats, harness.AggregateReport)]
+        assert fields == [["seed", "curve", "planning_wall_median", "replay_reasons"], ["outcomes"],
+                          ["spec", "cells"]]
+
     def test_deterministic_rerun(self):
         a = run_experiment(_tiny_spec())
         b = run_experiment(_tiny_spec())
